@@ -21,11 +21,6 @@ provides:
   replays forward + backward over reused buffers thereafter, the NumPy
   analogue of ``jax.jit`` around a loss (used by the DP and PINN hot
   loops via their ``compile=True`` options).
-- A fused-source codegen backend in :mod:`repro.autodiff.lowering` /
-  :mod:`repro.autodiff.codegen` — ``compile="codegen"`` lowers the trace
-  to an SSA-style IR, fuses elementwise chains, drops dead buffers, plans
-  an arena of reusable scratch slots, and emits one straight-line NumPy
-  kernel per program; non-lowerable programs fall back to replay.
 - Numerical gradient checking in :mod:`repro.autodiff.check`.
 
 Gradients are exact (to floating point) wherever defined: the engine applies
@@ -100,17 +95,7 @@ from repro.autodiff.compile import (
     ReplayProfile,
     compiled_value_and_grad,
     compiled_value_and_grad_tree,
-    resolve_compile_mode,
 )
-from repro.autodiff.lowering import (
-    ArenaPlanner,
-    LoweredProgram,
-    LoweredStats,
-    LoweringError,
-    lower,
-    unbroadcast_plan,
-)
-from repro.autodiff.codegen import CodegenProgram, codegen_program
 from repro.autodiff.check import (
     numerical_gradient,
     check_gradient,
@@ -181,15 +166,6 @@ __all__ = [
     "ReplayProfile",
     "compiled_value_and_grad",
     "compiled_value_and_grad_tree",
-    "resolve_compile_mode",
-    "ArenaPlanner",
-    "LoweredProgram",
-    "LoweredStats",
-    "LoweringError",
-    "lower",
-    "unbroadcast_plan",
-    "CodegenProgram",
-    "codegen_program",
     "numerical_gradient",
     "check_gradient",
     "directional_numerical_derivative",

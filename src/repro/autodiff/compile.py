@@ -62,9 +62,9 @@ __all__ = [
     "CompileError",
     "CompiledProgram",
     "ReplayProfile",
+    "check_compile_flag",
     "compiled_value_and_grad",
     "compiled_value_and_grad_tree",
-    "resolve_compile_mode",
 ]
 
 
@@ -72,29 +72,19 @@ class CompileError(RuntimeError):
     """Raised when a recorded program cannot be replayed safely."""
 
 
-def resolve_compile_mode(flag: Any) -> Optional[str]:
-    """Map a user-facing ``compile`` flag to an execution mode.
+def check_compile_flag(flag: Any) -> bool:
+    """Validate a user-facing ``compile=`` argument.
 
-    ``False``/``None``/``"0"``/``"eager"`` → ``None`` (eager tape);
-    ``True``/``"1"``/``"replay"`` → ``"replay"`` (the compiled closure
-    replay tier); ``"codegen"`` → ``"codegen"`` (fused-source backend,
-    which itself falls back to replay for programs it cannot lower).
-    Oracle constructors and :func:`repro.bench.configs.compile_mode`
-    both funnel through this so ``compile="codegen"`` and
-    ``REPRO_COMPILE=codegen`` mean the same thing everywhere.
+    ``True`` selects the compiled replay tier and ``False`` the eager
+    tape.  Anything else raises :class:`ValueError`: a truthy string
+    must never quietly select replay.
     """
-    if flag is None or flag is False:
-        return None
-    if flag is True:
-        return "replay"
-    s = str(flag).strip().lower()
-    if s in ("", "0", "false", "no", "off", "none", "eager"):
-        return None
-    if s in ("1", "true", "yes", "on", "replay"):
-        return "replay"
-    if s == "codegen":
-        return "codegen"
-    raise ValueError(f"unknown compile mode {flag!r} (use False, True, or 'codegen')")
+    if isinstance(flag, bool):
+        return flag
+    raise ValueError(
+        f"compile must be True (compiled replay) or False (eager tape), "
+        f"got {flag!r}; the string-selected fused-source tier was removed"
+    )
 
 
 def _bump(counters: Dict[str, int], event: str) -> None:
@@ -186,28 +176,12 @@ class ReplayProfile:
         self.persistent_bytes = 0
         self.trace_seconds = 0.0
         self.replay_seconds = 0.0
-        # Codegen tier: per-fused-kernel rows plus fusion/arena summary,
-        # populated only when programs run under ``mode="codegen"``.
-        self.kernels: Dict[str, OpStats] = {}
-        self.n_codegen_replays = 0
-        self.fusion_groups = 0
-        self.fused_ops = 0
-        self.arena_bytes = 0
-        self.arena_slots = 0
-        self.buffers_dropped = 0
 
     def op(self, name: str) -> OpStats:
         """The (auto-created) stats row for primitive ``name``."""
         s = self.ops.get(name)
         if s is None:
             s = self.ops[name] = OpStats()
-        return s
-
-    def kernel(self, name: str) -> OpStats:
-        """The (auto-created) stats row for one generated fused kernel."""
-        s = self.kernels.get(name)
-        if s is None:
-            s = self.kernels[name] = OpStats()
         return s
 
     @property
@@ -227,9 +201,9 @@ class ReplayProfile:
             f"{'MB reused':>12}{'MB alloc':>11}{'MFLOP':>10}{'MB moved':>11}"
         )
 
-        def row(name: str, s: OpStats, width: int = 22) -> str:
+        def row(name: str, s: OpStats) -> str:
             return (
-                f"{name:<{width}}{s.calls:>9d}{s.fwd_seconds * 1e3:>10.3f}"
+                f"{name:<22}{s.calls:>9d}{s.fwd_seconds * 1e3:>10.3f}"
                 f"{s.bwd_seconds * 1e3:>10.3f}"
                 f"{s.bytes_reused / 1e6:>12.3f}{s.bytes_allocated / 1e6:>11.3f}"
                 f"{s.flops / 1e6:>10.3f}{s.bytes_moved / 1e6:>11.3f}"
@@ -247,32 +221,12 @@ class ReplayProfile:
         ]
         rule = "-" * max(len(header), *(len(r) for r in body)) if body else "-" * len(header)
         lines = [header, rule, *body]
-        if self.kernels:
-            kwidth = max(22, max(len(n) for n in self.kernels) + 1)
-            klines = [
-                row(name, s, kwidth)
-                for name, s in sorted(
-                    self.kernels.items(),
-                    key=lambda kv: kv[1].fwd_seconds + kv[1].bwd_seconds,
-                    reverse=True,
-                )
-            ]
-            rule = "-" * max(len(rule), *(len(r) for r in klines))
-            lines += [
-                rule,
-                f"generated kernels ({self.n_codegen_replays} codegen replays):",
-                *klines,
-                f"fusion groups: {self.fusion_groups}   fused ops: {self.fused_ops}   "
-                f"arena: {self.arena_bytes / 1e6:.3f} MB in {self.arena_slots} slots   "
-                f"buffers dropped: {self.buffers_dropped}",
-            ]
         reused, alloc = self.bytes_reused, self.bytes_allocated
         denom = reused + alloc
         ratio = reused / denom if denom else 0.0
         lines += [
             rule,
-            f"traces: {self.n_traces}   replays: {self.n_replays} "
-            f"({self.n_codegen_replays} codegen)   "
+            f"traces: {self.n_traces}   replays: {self.n_replays}   "
             f"eager fallbacks: {self.n_eager_calls}",
             f"persistent buffer pool: {self.persistent_bytes / 1e6:.3f} MB "
             f"(value + cotangent double buffers)",
@@ -501,28 +455,19 @@ def _validate(
     return True
 
 
-def _is_program(entry: Any) -> bool:
-    """True for a cached executable program (replay or codegen tier)."""
-    return entry is not None and entry is not _MISSING
-
-
 def _build_entry(
     out_t: Tensor,
     leaves: Sequence[Tensor],
     inputs: Sequence[np.ndarray],
     value: float,
     grads: Sequence[np.ndarray],
-    mode: str,
     prof: Optional[ReplayProfile],
-    counters: Dict[str, int],
-) -> Optional[Any]:
-    """Build the cache entry for a fresh trace: replay program, then
-    (under ``mode="codegen"``) the fused-source kernel on top of it.
+) -> Optional[CompiledProgram]:
+    """Build the cache entry for a fresh trace.
 
-    Each tier is validated against the eager results before promotion;
-    a codegen build or validation failure falls back to the replay tier
-    for this signature (counted in ``codegen_fallbacks``), and a replay
-    validation failure falls back to permanent eager (``None`` entry).
+    The program is validated against the eager results before it is
+    cached; an unreplayable op or a validation failure caches ``None``,
+    which keeps this signature on the eager tape permanently.
     """
     prog = CompiledProgram(out_t, leaves)
     if not prog.replayable:
@@ -535,41 +480,15 @@ def _build_entry(
             stacklevel=3,
         )
         return None
-    entry: Any = prog
-    if mode == "codegen":
-        try:
-            from repro.autodiff.codegen import codegen_program
-
-            cg = codegen_program(prog)
-            if not _validate(cg, inputs, value, grads):
-                raise CompileError("generated kernel failed validation against eager")
-            cg.commit()
-            entry = cg
-        except Exception as exc:
-            _bump(counters, "codegen_fallbacks")
-            warnings.warn(
-                f"codegen lowering failed ({exc}); falling back to the "
-                "replay tier for this signature",
-                RuntimeWarning,
-                stacklevel=3,
-            )
     if prof is not None:
-        prof.persistent_bytes += entry.buffer_bytes
-        if getattr(entry, "is_codegen", False):
-            st = entry.stats
-            prof.fusion_groups += st.n_fused_groups
-            prof.fused_ops += st.n_fused
-            prof.arena_bytes += st.arena_bytes
-            prof.arena_slots += st.arena_slots
-            prof.buffers_dropped += st.values_dropped + st.cotangents_dropped
-    return entry
+        prof.persistent_bytes += prog.buffer_bytes
+    return prog
 
 
 def compiled_value_and_grad(
     f: Callable[..., Any],
     argnums: Argnums = 0,
     profile: bool = False,
-    mode: str = "replay",
 ) -> Callable[..., Tuple[float, Any]]:
     """Trace-once counterpart of :func:`repro.autodiff.functional.value_and_grad`.
 
@@ -581,18 +500,11 @@ def compiled_value_and_grad(
 
     The returned callable exposes ``.profile`` (a :class:`ReplayProfile`
     when ``profile=True``, else ``None``) and ``.cache_info()``.
-
-    ``mode`` selects the execution tier for newly traced programs:
-    ``"replay"`` (default) walks the recorded closures over persistent
-    buffers; ``"codegen"`` additionally lowers the program to fused
-    straight-line source (see :mod:`repro.autodiff.codegen`), falling
-    back to replay for programs it cannot express.
     """
-    mode = resolve_compile_mode(mode) or "replay"
     nums = _normalize_argnums(argnums)
-    cache: Dict[Any, Optional[Any]] = {}
+    cache: Dict[Any, Optional[CompiledProgram]] = {}
     prof = ReplayProfile() if profile else None
-    counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
+    counters = {"traces": 0, "replays": 0, "eager": 0}
 
     def _eager(args, kwargs) -> Tuple[float, Tuple[np.ndarray, ...], Tensor, list]:
         call_args, leaves = _wrap_args(args, nums)
@@ -619,7 +531,7 @@ def compiled_value_and_grad(
             arr = asdata(args[0])
             key = ((arr.shape, arr.dtype),)
             program = cache.get(key, _MISSING)
-            if _is_program(program):
+            if isinstance(program, CompiledProgram):
                 _bump(counters, "replays")
                 value, grad_list = program.replay(
                     (np.asarray(arr, dtype=np.float64),), prof
@@ -631,7 +543,7 @@ def compiled_value_and_grad(
                 for i, a in enumerate(args)
             ) + tuple((k, _const_key(v)) for k, v in sorted(kwargs.items()))
             program = cache.get(key, _MISSING)
-        if _is_program(program):
+        if isinstance(program, CompiledProgram):
             inputs = [np.asarray(asdata(args[i]), dtype=np.float64) for i in nums]
             value, grad_list = program.replay(inputs, prof)
             _bump(counters, "replays")
@@ -643,14 +555,7 @@ def compiled_value_and_grad(
         if program is _MISSING:  # first sighting of this signature
             _bump(counters, "traces")
             cache[key] = _build_entry(
-                out_t,
-                leaves,
-                [l.data.copy() for l in leaves],
-                value,
-                grads,
-                mode,
-                prof,
-                counters,
+                out_t, leaves, [l.data.copy() for l in leaves], value, grads, prof
             )
             if prof is not None:
                 prof.n_traces += 1
@@ -665,9 +570,6 @@ def compiled_value_and_grad(
     wrapped.cache_info = lambda: {
         **counters,
         "programs": sum(1 for v in cache.values() if v is not None),
-        "codegen_programs": sum(
-            1 for v in cache.values() if getattr(v, "is_codegen", False)
-        ),
         "hit_rate": counters["replays"]
         / max(counters["replays"] + counters["traces"] + counters["eager"], 1),
     }
@@ -676,7 +578,7 @@ def compiled_value_and_grad(
 
 
 def compiled_value_and_grad_tree(
-    f: Callable[..., Any], profile: bool = False, mode: str = "replay"
+    f: Callable[..., Any], profile: bool = False
 ) -> Callable[..., Tuple[float, Any]]:
     """Trace-once counterpart of :func:`repro.nn.pytree.value_and_grad_tree`.
 
@@ -686,10 +588,9 @@ def compiled_value_and_grad_tree(
     """
     from repro.nn.pytree import tree_flatten, tree_unflatten
 
-    mode = resolve_compile_mode(mode) or "replay"
-    cache: Dict[Any, Optional[Any]] = {}
+    cache: Dict[Any, Optional[CompiledProgram]] = {}
     prof = ReplayProfile() if profile else None
-    counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
+    counters = {"traces": 0, "replays": 0, "eager": 0}
 
     def _eager(params, args, kwargs):
         leaves, treedef = tree_flatten(params)
@@ -715,7 +616,7 @@ def compiled_value_and_grad_tree(
         )
 
         program = cache.get(key, _MISSING)
-        if _is_program(program):
+        if isinstance(program, CompiledProgram):
             inputs = [np.asarray(asdata(l), dtype=np.float64) for l in leaves]
             value, grad_list = program.replay(inputs, prof)
             _bump(counters, "replays")
@@ -731,9 +632,7 @@ def compiled_value_and_grad_tree(
                 [t.data.copy() for t in leaf_tensors],
                 value,
                 grads,
-                mode,
                 prof,
-                counters,
             )
             if prof is not None:
                 prof.n_traces += 1
@@ -748,9 +647,6 @@ def compiled_value_and_grad_tree(
     wrapped.cache_info = lambda: {
         **counters,
         "programs": sum(1 for v in cache.values() if v is not None),
-        "codegen_programs": sum(
-            1 for v in cache.values() if getattr(v, "is_codegen", False)
-        ),
         "hit_rate": counters["replays"]
         / max(counters["replays"] + counters["traces"] + counters["eager"], 1),
     }

@@ -596,11 +596,7 @@ class KrylovSolver:
         def fwd(o: np.ndarray) -> None:
             o[...] = self._solve(bd)
 
-        # Operand metadata only; opaque to codegen (the operator and
-        # preconditioner live in closures, reached via callback).
-        return make_node(
-            x, [(tb, vjp_b)], "krylov_solve", fwd=fwd, meta=((bd,), None)
-        )
+        return make_node(x, [(tb, vjp_b)], "krylov_solve", fwd=fwd)
 
     def solve_block(self, b_block: ArrayLike) -> Tensor:
         """Solve an ``(N, n)`` row-block of right-hand sides at once.
@@ -684,6 +680,5 @@ def krylov_pattern_solve(
         o[...] = holder[0]._solve(bd)
 
     return make_node(
-        x, [(td, vjp_data), (tb, vjp_b)], "krylov_pattern_solve", fwd=fwd,
-        meta=((dd, bd), {"shape": shape}),
+        x, [(td, vjp_data), (tb, vjp_b)], "krylov_pattern_solve", fwd=fwd
     )

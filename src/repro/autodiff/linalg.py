@@ -61,12 +61,14 @@ def solve(A: ArrayLike, b: ArrayLike, assume_a: str = "gen") -> Tensor:
     # can refresh it when the matrix values change between replays (the
     # NS momentum matrix depends on the previous velocity iterate); the
     # VJPs read through the holder and always see the current factors.
+    # Every factorisation, eager or replayed, is counted in the same
+    # ``linalg.dense.factorizations`` registry counter as ``LUSolver``.
+    holder: list = [None]
     if assume_a == "pos":
-        holder = [sla.cho_factor(Ad, check_finite=False)]
-        x = np.asarray(sla.cho_solve(holder[0], bd, check_finite=False))
 
         def refactor() -> None:
             holder[0] = sla.cho_factor(Ad, check_finite=False)
+            get_registry().counter("linalg.dense.factorizations").inc()
 
         def solve_T(g: np.ndarray) -> np.ndarray:
             return sla.cho_solve(holder[0], g, check_finite=False)  # symmetric
@@ -76,12 +78,13 @@ def solve(A: ArrayLike, b: ArrayLike, assume_a: str = "gen") -> Tensor:
                 refactor()
             o[...] = sla.cho_solve(holder[0], bd, check_finite=False)
 
+        refactor()
+        x = np.asarray(sla.cho_solve(holder[0], bd, check_finite=False))
     else:
-        holder = [sla.lu_factor(Ad, check_finite=False)]
-        x = np.asarray(sla.lu_solve(holder[0], bd, check_finite=False))
 
         def refactor() -> None:
             holder[0] = sla.lu_factor(Ad, check_finite=False)
+            get_registry().counter("linalg.dense.factorizations").inc()
 
         def solve_T(g: np.ndarray) -> np.ndarray:
             return sla.lu_solve(holder[0], g, trans=1, check_finite=False)
@@ -90,6 +93,9 @@ def solve(A: ArrayLike, b: ArrayLike, assume_a: str = "gen") -> Tensor:
             if a_on_tape:
                 refactor()
             o[...] = sla.lu_solve(holder[0], bd, check_finite=False)
+
+        refactor()
+        x = np.asarray(sla.lu_solve(holder[0], bd, check_finite=False))
 
     a_on_tape = tA.needs_tape()
 
@@ -102,14 +108,7 @@ def solve(A: ArrayLike, b: ArrayLike, assume_a: str = "gen") -> Tensor:
             return -np.outer(w, x)
         return -(w @ x.T)
 
-    # Lowering metadata documents the operands (useful for IR dumps and
-    # buffer-liveness analysis); the op itself stays opaque to codegen —
-    # the factorisation lives in the closures, so codegen calls back into
-    # them (F/V callbacks) rather than emitting symbolic source.
-    return make_node(
-        x, [(tA, vjp_A), (tb, vjp_b)], "solve", fwd=fwd,
-        meta=((Ad, bd), {"assume_a": assume_a}),
-    )
+    return make_node(x, [(tA, vjp_A), (tb, vjp_b)], "solve", fwd=fwd)
 
 
 class LUSolver:
@@ -171,11 +170,7 @@ class LUSolver:
         def fwd(o: np.ndarray, bd=bd) -> None:
             o[...] = self._solve(bd)
 
-        # Operand metadata only; stays opaque to codegen (cached factors
-        # live in the solver object, reached via closure callbacks).
-        return make_node(
-            x, [(tb, vjp_b)], "lu_solve", fwd=fwd, meta=((bd,), None)
-        )
+        return make_node(x, [(tb, vjp_b)], "lu_solve", fwd=fwd)
 
     def solve_block(self, b_block: ArrayLike) -> Tensor:
         """Solve an ``(N, n)`` row-block of right-hand sides at once.
@@ -219,12 +214,7 @@ def lstsq(A: ArrayLike, b: ArrayLike, rcond: Optional[float] = None) -> Tensor:
     def fwd(o: np.ndarray) -> None:
         o[...] = np.linalg.lstsq(Ad, bd, rcond=rcond)[0]
 
-    # Operand metadata only; opaque to codegen (normal-equation adjoint
-    # runs through the recorded closures).
-    return make_node(
-        x, [(tb, vjp_b)], "lstsq", fwd=fwd,
-        meta=((Ad, bd), {"rcond": rcond}),
-    )
+    return make_node(x, [(tb, vjp_b)], "lstsq", fwd=fwd)
 
 
 @composite

@@ -95,7 +95,6 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
         ],
         "add",
         fwd=lambda o, x=x, y=y: np.add(x, y, out=o),
-        meta=((x, y), None),
     )
 
 
@@ -113,7 +112,6 @@ def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
         ],
         "sub",
         fwd=lambda o, x=x, y=y: np.subtract(x, y, out=o),
-        meta=((x, y), None),
     )
 
 
@@ -131,7 +129,6 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
         ],
         "mul",
         fwd=lambda o, x=x, y=y: np.multiply(x, y, out=o),
-        meta=((x, y), None),
     )
 
 
@@ -154,7 +151,6 @@ def div(a: ArrayLike, b: ArrayLike) -> Tensor:
         ],
         "div",
         fwd=lambda o, x=x, y=y: np.divide(x, y, out=o),
-        meta=((x, y), None),
     )
 
 
@@ -167,7 +163,6 @@ def neg(a: ArrayLike) -> Tensor:
         [(ta, lambda g: -g)],
         "neg",
         fwd=lambda o, x=ta.data: np.negative(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -201,7 +196,6 @@ def power(a: ArrayLike, b: ArrayLike) -> Tensor:
         parents,
         "power",
         fwd=lambda o, x=ta.data, y=tb.data: np.power(x, y, out=o),
-        meta=((ta.data, tb.data), None),
     )
 
 
@@ -215,7 +209,6 @@ def square(a: ArrayLike) -> Tensor:
         [(ta, lambda g, x=x: 2.0 * g * x)],
         "square",
         fwd=lambda o, x=x: np.multiply(x, x, out=o),
-        meta=((x,), None),
     )
 
 
@@ -230,11 +223,7 @@ def sqrt(a: ArrayLike) -> Tensor:
             return g * 0.5 / np.where(o > 0, o, np.inf)
 
     return make_node(
-        out,
-        [(ta, vjp)],
-        "sqrt",
-        fwd=lambda o, x=ta.data: np.sqrt(x, out=o),
-        meta=((ta.data,), None),
+        out, [(ta, vjp)], "sqrt", fwd=lambda o, x=ta.data: np.sqrt(x, out=o)
     )
 
 
@@ -247,7 +236,6 @@ def abs_(a: ArrayLike) -> Tensor:
         [(ta, lambda g, x=ta.data: g * np.sign(x))],
         "abs",
         fwd=lambda o, x=ta.data: np.abs(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -264,7 +252,6 @@ def exp(a: ArrayLike) -> Tensor:
         [(ta, lambda g, o=out: g * o)],
         "exp",
         fwd=lambda o, x=ta.data: np.exp(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -277,7 +264,6 @@ def log(a: ArrayLike) -> Tensor:
         [(ta, lambda g, x=ta.data: g / x)],
         "log",
         fwd=lambda o, x=ta.data: np.log(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -290,7 +276,6 @@ def sin(a: ArrayLike) -> Tensor:
         [(ta, lambda g, x=ta.data: g * np.cos(x))],
         "sin",
         fwd=lambda o, x=ta.data: np.sin(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -303,7 +288,6 @@ def cos(a: ArrayLike) -> Tensor:
         [(ta, lambda g, x=ta.data: -g * np.sin(x))],
         "cos",
         fwd=lambda o, x=ta.data: np.cos(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -317,7 +301,6 @@ def tanh(a: ArrayLike) -> Tensor:
         [(ta, lambda g, o=out: g * (1.0 - o * o))],
         "tanh",
         fwd=lambda o, x=ta.data: np.tanh(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -330,7 +313,6 @@ def sinh(a: ArrayLike) -> Tensor:
         [(ta, lambda g, x=ta.data: g * np.cosh(x))],
         "sinh",
         fwd=lambda o, x=ta.data: np.sinh(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -343,7 +325,6 @@ def cosh(a: ArrayLike) -> Tensor:
         [(ta, lambda g, x=ta.data: g * np.sinh(x))],
         "cosh",
         fwd=lambda o, x=ta.data: np.cosh(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -356,7 +337,6 @@ def arctan(a: ArrayLike) -> Tensor:
         [(ta, lambda g, x=ta.data: g / (1.0 + x * x))],
         "arctan",
         fwd=lambda o, x=ta.data: np.arctan(x, out=o),
-        meta=((ta.data,), None),
     )
 
 
@@ -372,13 +352,7 @@ def sigmoid(a: ArrayLike) -> Tensor:
         o += 1.0
         np.divide(1.0, o, out=o)
 
-    return make_node(
-        out,
-        [(ta, lambda g, o=out: g * o * (1.0 - o))],
-        "sigmoid",
-        fwd=fwd,
-        meta=((ta.data,), None),
-    )
+    return make_node(out, [(ta, lambda g, o=out: g * o * (1.0 - o))], "sigmoid", fwd=fwd)
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +380,6 @@ def maximum(a: ArrayLike, b: ArrayLike) -> Tensor:
         ],
         "maximum",
         fwd=fwd,
-        meta=((x, y), {"mask": mask}),
     )
 
 
@@ -430,7 +403,6 @@ def minimum(a: ArrayLike, b: ArrayLike) -> Tensor:
         ],
         "minimum",
         fwd=fwd,
-        meta=((x, y), {"mask": mask}),
     )
 
 
@@ -449,7 +421,6 @@ def where(cond: ArrayLike, a: ArrayLike, b: ArrayLike) -> Tensor:
         ],
         "where",
         fwd=lambda o, m=c, x=x, y=y: np.copyto(o, np.where(m, x, y)),
-        meta=((x, y), {"mask": c}),
     )
 
 
@@ -466,13 +437,7 @@ def clip(a: ArrayLike, lo: float, hi: float) -> Tensor:
         np.greater_equal(x, lo, out=m)
         np.logical_and(m, x <= hi, out=m)
 
-    return make_node(
-        out,
-        [(ta, lambda g, m=mask: g * m)],
-        "clip",
-        fwd=fwd,
-        meta=((x,), {"lo": lo, "hi": hi, "mask": mask}),
-    )
+    return make_node(out, [(ta, lambda g, m=mask: g * m)], "clip", fwd=fwd)
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +468,6 @@ def sum_(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:
         "sum",
         # Bound ndarray method: skips np.sum's Python dispatch layer.
         fwd=lambda o, x=x: x.sum(axis=axis, keepdims=keepdims, out=o),
-        meta=((x,), {"axis": axis, "keepdims": keepdims}),
     )
 
 
@@ -532,7 +496,6 @@ def mean(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:
         [(ta, vjp)],
         "mean",
         fwd=lambda o, x=x: x.mean(axis=axis, keepdims=keepdims, out=o),
-        meta=((x,), {"axis": axis, "keepdims": keepdims, "denom": float(denom)}),
     )
 
 
@@ -630,9 +593,7 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
         fwd = lambda o, A=A, B=B: np.copyto(o, A @ B)
     else:
         fwd = lambda o, A=A, B=B: np.matmul(A, B, out=o)
-    return make_node(
-        out, [(ta, vjp_a), (tb, vjp_b)], "matmul", fwd=fwd, meta=((A, B), None)
-    )
+    return make_node(out, [(ta, vjp_a), (tb, vjp_b)], "matmul", fwd=fwd)
 
 
 @composite
@@ -656,11 +617,7 @@ def reshape(a: ArrayLike, shape: Tuple[int, ...]) -> Tensor:
         else (lambda o, x=x: np.copyto(o, x.reshape(shape)))
     )
     return make_node(
-        out,
-        [(ta, lambda g, s=x.shape: g.reshape(s))],
-        "reshape",
-        fwd=fwd,
-        meta=((x,), {"shape": tuple(out.shape)}),
+        out, [(ta, lambda g, s=x.shape: g.reshape(s))], "reshape", fwd=fwd
     )
 
 
@@ -672,11 +629,7 @@ def transpose(a: ArrayLike, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
     inv = None if axes is None else tuple(np.argsort(axes))
     # np.transpose always returns a view: nothing to recompute on replay.
     return make_node(
-        out,
-        [(ta, lambda g: np.transpose(g, inv))],
-        "transpose",
-        fwd=VIEW_FWD,
-        meta=((ta.data,), {"axes": axes, "inv": inv}),
+        out, [(ta, lambda g: np.transpose(g, inv))], "transpose", fwd=VIEW_FWD
     )
 
 
@@ -722,13 +675,7 @@ def getitem(a: ArrayLike, index) -> Tensor:
         fwd = VIEW_FWD
     else:
         fwd = lambda o, x=x: np.copyto(o, x[index])
-    return make_node(
-        out,
-        [(ta, vjp)],
-        "getitem",
-        fwd=fwd,
-        meta=((x,), {"index": index, "unique": unique}),
-    )
+    return make_node(out, [(ta, vjp)], "getitem", fwd=fwd)
 
 
 @primitive("concatenate")

@@ -83,11 +83,7 @@ def sparse_solve(A, b: ArrayLike) -> Tensor:
     def fwd(o: np.ndarray) -> None:
         o[...] = lu.solve(np.ascontiguousarray(bd))
 
-    # Operand metadata only; opaque to codegen (SuperLU factors live
-    # in the closures, reached via callback).
-    return make_node(
-        x, [(tb, vjp_b)], "sparse_solve", fwd=fwd, meta=((bd,), None)
-    )
+    return make_node(x, [(tb, vjp_b)], "sparse_solve", fwd=fwd)
 
 
 @primitive("sparse_matvec")
@@ -111,11 +107,7 @@ def sparse_matvec(M, x: ArrayLike) -> Tensor:
     def fwd(o: np.ndarray) -> None:
         o[...] = M @ xd
 
-    # Operand metadata only; opaque to codegen (the sparse matrix is
-    # not an ndarray the emitter can inline).
-    return make_node(
-        out, [(tx, vjp_x)], "sparse_matvec", fwd=fwd, meta=((xd,), None)
-    )
+    return make_node(out, [(tx, vjp_x)], "sparse_matvec", fwd=fwd)
 
 
 @primitive("sparse_pattern_solve")
@@ -173,8 +165,7 @@ def sparse_pattern_solve(
         o[...] = holder[0].solve(np.ascontiguousarray(bd))
 
     return make_node(
-        x, [(td, vjp_data), (tb, vjp_b)], "sparse_pattern_solve", fwd=fwd,
-        meta=((dd, bd), {"shape": shape}),
+        x, [(td, vjp_data), (tb, vjp_b)], "sparse_pattern_solve", fwd=fwd
     )
 
 
@@ -229,9 +220,7 @@ class SparseLUSolver:
         def fwd(o: np.ndarray) -> None:
             o[...] = self._solve(bd)
 
-        return make_node(
-            x, [(tb, vjp_b)], "sparse_lu_solve", fwd=fwd, meta=((bd,), None)
-        )
+        return make_node(x, [(tb, vjp_b)], "sparse_lu_solve", fwd=fwd)
 
     def solve_block(self, b_block: ArrayLike) -> Tensor:
         """Solve an ``(N, n)`` row-block of right-hand sides at once.

@@ -110,7 +110,7 @@ class Tensor:
         Internal — primitive name, for debugging and graph inspection.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_fwd", "_meta")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_fwd")
 
     # Make NumPy defer ``ndarray <op> Tensor`` to the Tensor's reflected
     # operators instead of trying elementwise object coercion.
@@ -124,7 +124,6 @@ class Tensor:
         parents: Optional[List[Tuple["Tensor", Callable[[np.ndarray], np.ndarray]]]] = None,
         op: str = "leaf",
         fwd: Optional[Callable[[np.ndarray], None]] = None,
-        meta: Optional[Tuple] = None,
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
@@ -140,14 +139,6 @@ class Tensor:
         # parent buffer and needs no recomputation.  Only consulted by the
         # compiled replay engine (:mod:`repro.autodiff.compile`).
         self._fwd = fwd
-        # Lowering metadata: ``(operands, params)`` where ``operands`` is
-        # the tuple of raw ndarray inputs in the op's canonical argument
-        # order (the *same* array objects the fwd/VJP closures captured)
-        # and ``params`` is a dict of static parameters (axis, index,
-        # masks, ...).  ``None`` marks the op opaque to the codegen
-        # backend (:mod:`repro.autodiff.lowering`), which then falls back
-        # to the recorded closures for this node.
-        self._meta = meta
 
     # ------------------------------------------------------------------
     # Introspection
@@ -419,7 +410,6 @@ def make_node(
     parents: Iterable[Tuple[Tensor, Callable[[np.ndarray], np.ndarray]]],
     op: str,
     fwd: Optional[Callable[[np.ndarray], None]] = None,
-    meta: Optional[Tuple] = None,
 ) -> Tensor:
     """Create an interior tape node, respecting the global no-grad switch.
 
@@ -431,11 +421,9 @@ def make_node(
     ``fwd`` is the op's forward-replay closure (see :class:`Tensor`): it
     re-executes the forward computation into a caller-supplied output
     buffer, so a recorded tape can be replayed without rebuilding any
-    Tensor or closure objects.  ``meta`` is the op's lowering metadata
-    (operand arrays + static params) consumed by the codegen backend; ops
-    that omit it stay opaque to lowering and replay through closures.
+    Tensor or closure objects.
     """
     parents = [(p, v) for (p, v) in parents if p.needs_tape()]
     if not grad_enabled() or not parents:
         return Tensor(data)
-    return Tensor(data, parents=parents, op=op, fwd=fwd, meta=meta)
+    return Tensor(data, parents=parents, op=op, fwd=fwd)

@@ -42,26 +42,12 @@ def is_full_scale() -> bool:
 
 
 def is_compile_enabled() -> bool:
-    """True when ``REPRO_COMPILE`` opts the benchmarks into a compiled
-    execution tier (:mod:`repro.autodiff.compile`)."""
-    return compile_mode() is not False
+    """True when ``REPRO_COMPILE`` opts the benchmarks into the compiled
+    replay tier (:mod:`repro.autodiff.compile`).
 
-
-def compile_mode() -> "bool | str":
-    """Compiled-execution tier requested via ``REPRO_COMPILE``.
-
-    ``REPRO_COMPILE=1`` (or ``true``/``replay``) selects the trace-once
-    replay engine; ``REPRO_COMPILE=codegen`` selects the fused-source
-    codegen backend (:mod:`repro.autodiff.codegen`, with automatic
-    fallback to replay per program); unset/``0`` keeps eager execution.
-    The return value feeds the ``compile=`` knob on the scale dataclasses
-    unchanged.
+    Parsed by :func:`repro.utils.env.env_flag` like every other switch;
+    the result feeds the ``compile=`` field of the scale dataclasses.
     """
-    raw = os.environ.get("REPRO_COMPILE", "").strip()
-    if raw.lower() == "codegen":
-        return "codegen"
-    if raw.lower() == "replay":
-        return True
     return env_flag("REPRO_COMPILE", default=False)
 
 
@@ -141,7 +127,7 @@ class LaplaceScale:
     backend: str = "dense"       # "dense" (paper) or "local" (RBF-FD)
     solver: str = "direct"       # "direct" (LU) or "iterative" (Krylov,
     # requires the local backend; see repro.autodiff.krylov)
-    compile: "bool | str" = False  # False | True (replay) | "codegen"
+    compile: bool = False        # trace-once replay for the DP loop
 
 
 @dataclass(frozen=True)
@@ -160,7 +146,7 @@ class NavierStokesScale:
     perturbation: float = 0.3
     backend: str = "dense"       # "dense" (paper) or "local" (RBF-FD)
     solver: str = "direct"       # "direct" (LU) or "iterative" (Krylov)
-    compile: "bool | str" = False  # False | True (replay) | "codegen"
+    compile: bool = False        # trace-once replay for the DP loop
 
 
 @dataclass(frozen=True)
@@ -179,7 +165,7 @@ class PinnScale:
     # paper: 9 values 1e-3..1e5, ω* = 1
     n_interior: int = 300
     n_boundary: int = 30
-    compile: "bool | str" = False    # False | True (replay) | "codegen"
+    compile: bool = False            # trace-once replay for the epoch loop
 
 
 @dataclass(frozen=True)
@@ -217,23 +203,18 @@ FULL_SCALE = ExperimentScale(
 def get_scale() -> ExperimentScale:
     """Return the active tier (``REPRO_FULL=1`` selects the full tier).
 
-    ``REPRO_COMPILE=1`` additionally switches every strategy onto the
-    trace-once replay engine — results are bit-identical (the property
-    tests assert it), only the per-iteration wall time changes.
-    ``REPRO_COMPILE=codegen`` selects the fused-source codegen tier
-    instead (gradient parity is gated by the conformance tests; programs
-    the lowering pass cannot fuse fall back to replay automatically).
+    ``REPRO_COMPILE=1`` additionally switches the DP and PINN strategies
+    onto the trace-once replay engine — results are bit-identical (the
+    property tests assert it), only the per-iteration wall time changes.
     """
     from dataclasses import replace
 
     scale = FULL_SCALE if is_full_scale() else DEFAULT_SCALE
-    mode = compile_mode()
-    if mode is not False:
-        suffix = "+codegen" if mode == "codegen" else "+compile"
+    if is_compile_enabled():
         scale = ExperimentScale(
-            name=scale.name + suffix,
-            laplace=replace(scale.laplace, compile=mode),
-            ns=replace(scale.ns, compile=mode),
-            pinn=replace(scale.pinn, compile=mode),
+            name=scale.name + "+compile",
+            laplace=replace(scale.laplace, compile=True),
+            ns=replace(scale.ns, compile=True),
+            pinn=replace(scale.pinn, compile=True),
         )
     return scale

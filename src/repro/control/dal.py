@@ -74,13 +74,13 @@ class LaplaceDAL:
     one factorisation — dense LU for the global collocation matrix,
     sparse ``splu`` for the RBF-FD system (``backend="local"``).
 
-    ``compile=True`` enables buffer reuse across iterations (the DAL
-    analogue of the DP replay engine): the adjoint right-hand side is
-    preallocated and zeroed once — only its top-wall entries are ever
-    written, so per-call allocation of the full nodal vector disappears.
+    The adjoint right-hand side is a workspace allocated and zeroed once:
+    only its top-wall entries are ever written, so no call allocates the
+    full nodal vector.  No backend's ``solve_numpy`` writes into its
+    right-hand side, so reusing it cannot change a result.
     """
 
-    def __init__(self, problem: LaplaceControlProblem, compile: bool = False) -> None:
+    def __init__(self, problem: LaplaceControlProblem) -> None:
         self.problem = problem
         # Direct and adjoint share the system matrix (Laplace operator,
         # all-Dirichlet rows): one factorisation (or preconditioner,
@@ -90,8 +90,7 @@ class LaplaceDAL:
             method=getattr(problem, "solver", "direct"),
             **(getattr(problem, "solver_opts", None) or {}),
         )
-        self.compile = bool(compile)
-        self._b_adj = np.zeros(problem.cloud.n) if self.compile else None
+        self._b_adj = np.zeros(problem.cloud.n)
 
     def value(self, c: np.ndarray) -> float:
         """Direct solve + cost quadrature."""
@@ -107,10 +106,9 @@ class LaplaceDAL:
         mismatch = p.flux_rows @ u - p.target
         cost = float(p.quad_w @ (mismatch * mismatch))
 
-        # Adjoint: zero data everywhere except the top wall.  Under
-        # ``compile`` the vector is a preallocated workspace — off-wall
-        # entries are zeroed once at construction and never touched.
-        b_adj = self._b_adj if self._b_adj is not None else np.zeros(p.cloud.n)
+        # Adjoint: zero data everywhere except the top wall.  Off-wall
+        # workspace entries are zeroed at construction and never touched.
+        b_adj = self._b_adj
         b_adj[p.top] = 2.0 * mismatch
         with _span("dal.adjoint", "method"):
             lam = self.solver.solve_numpy(b_adj)
@@ -155,11 +153,11 @@ class NSAdjointState:
 class NavierStokesDAL:
     """DAL oracle for the channel-flow problem.
 
-    ``compile=True`` reuses two persistent ``(n, n)`` workspaces for the
-    dense adjoint momentum matrix assembly, replacing the ~5 full-size
-    temporaries that operator arithmetic would otherwise allocate on
-    every gradient evaluation (no effect on the sparse backend, whose
-    assembly is already pattern-bounded).
+    The dense adjoint momentum matrix is assembled into two persistent
+    ``(n, n)`` workspaces, replacing the ~5 full-size temporaries that
+    operator arithmetic would allocate on every gradient evaluation.
+    Every call overwrites both workspaces completely before reading them.
+    The sparse backend's assembly is already pattern-bounded.
 
     Telemetry: assigning a :class:`~repro.obs.recorder.TraceRecorder` to
     :attr:`recorder` makes every adjoint solve emit an ``adjoint`` event
@@ -174,7 +172,6 @@ class NavierStokesDAL:
         problem: ChannelFlowProblem,
         config: Optional[NSConfig] = None,
         adjoint_refinements: Optional[int] = None,
-        compile: bool = False,
         recorder=None,
     ) -> None:
         self.problem = problem
@@ -184,7 +181,6 @@ class NavierStokesDAL:
             if adjoint_refinements is not None
             else max(3 * self.config.refinements, 15)
         )
-        self.compile = bool(compile)
         self.recorder = recorder
         self._A_buf: Optional[np.ndarray] = None
         self._T_buf: Optional[np.ndarray] = None
@@ -232,20 +228,17 @@ class NavierStokesDAL:
             lu = spla.splu(sp.csc_matrix(A))
             solve_sys = lu.solve
         else:
-            if self.compile:
-                if self._A_buf is None:
-                    self._A_buf = np.empty((n, n))
-                    self._T_buf = np.empty((n, n))
-                A, T = self._A_buf, self._T_buf
-                np.multiply((-u)[:, None], nd.dx, out=A)
-                np.multiply((-v)[:, None], nd.dy, out=T)
-                A += T
-                np.multiply(1.0 / Re, nd.lap, out=T)
-                A -= T
-                A *= mask[:, None]
-            else:
-                op = (-u)[:, None] * nd.dx + (-v)[:, None] * nd.dy - (1.0 / Re) * nd.lap
-                A = mask[:, None] * op
+            if self._A_buf is None:
+                self._A_buf = np.empty((n, n))
+                self._T_buf = np.empty((n, n))
+            # mask * ((-u) dx + (-v) dy - lap / Re), evaluated in place.
+            A, T = self._A_buf, self._T_buf
+            np.multiply((-u)[:, None], nd.dx, out=A)
+            np.multiply((-v)[:, None], nd.dy, out=T)
+            A += T
+            np.multiply(1.0 / Re, nd.lap, out=T)
+            A -= T
+            A *= mask[:, None]
             for g in dirichlet_groups:
                 idx = pr.cloud.groups[g]
                 A[idx] = 0.0

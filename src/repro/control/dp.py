@@ -13,12 +13,12 @@ with ``k`` (Table 3's DP rows; the ablation benchmark sweeps this).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.compile import compiled_value_and_grad, resolve_compile_mode
+from repro.autodiff.compile import check_compile_flag, compiled_value_and_grad
 from repro.autodiff.functional import value_and_grad
 from repro.autodiff.sparse import make_linear_solver
 from repro.obs.hooks import record_compile_cache, record_solver_cache
@@ -60,17 +60,15 @@ class LaplaceDP:
     replay engine (:mod:`repro.autodiff.compile`): the cost graph is
     recorded on the first call and subsequent iterations replay it over
     reused buffers, skipping all Tensor/closure construction — the NumPy
-    analogue of wrapping the JAX loss in ``jit``.
-    ``compile="codegen"`` additionally lowers the trace to fused
-    straight-line NumPy source (:mod:`repro.autodiff.codegen`), falling
-    back to replay automatically if the program is not fully lowerable.
+    analogue of wrapping the JAX loss in ``jit``.  ``compile`` must be a
+    ``bool``; anything else raises ``ValueError``.
     """
 
     def __init__(
         self,
         problem: LaplaceControlProblem,
         smoothness_weight: float = 0.0,
-        compile: Union[bool, str, None] = False,
+        compile: bool = False,
     ) -> None:
         self.problem = problem
         self.solver = make_linear_solver(
@@ -79,12 +77,10 @@ class LaplaceDP:
             **(getattr(problem, "solver_opts", None) or {}),
         )
         self.smoothness_weight = float(smoothness_weight)
-        mode = resolve_compile_mode(compile)
-        self.compile = mode is not None
-        self.compile_mode = mode
+        self.compile = check_compile_flag(compile)
         self._vg = (
-            compiled_value_and_grad(self._cost_tensor, mode=mode)
-            if mode
+            compiled_value_and_grad(self._cost_tensor)
+            if self.compile
             else value_and_grad(self._cost_tensor)
         )
 
@@ -133,17 +129,15 @@ class NavierStokesDP:
         problem: ChannelFlowProblem,
         config: Optional[NSConfig] = None,
         smoothness_weight: float = 0.0,
-        compile: Union[bool, str, None] = False,
+        compile: bool = False,
     ) -> None:
         self.problem = problem
         self.config = config or NSConfig(refinements=10)
         self.smoothness_weight = float(smoothness_weight)
-        mode = resolve_compile_mode(compile)
-        self.compile = mode is not None
-        self.compile_mode = mode
+        self.compile = check_compile_flag(compile)
         self._vg = (
-            compiled_value_and_grad(self._cost_tensor, mode=mode)
-            if mode
+            compiled_value_and_grad(self._cost_tensor)
+            if self.compile
             else value_and_grad(self._cost_tensor)
         )
 

@@ -29,11 +29,12 @@ so one reverse pass per step yields exact weight gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.autodiff import ops
+from repro.autodiff.compile import check_compile_flag, compiled_value_and_grad_tree
 from repro.cloud.halton import halton_sequence
 from repro.nn.derivatives import mlp_with_derivatives
 from repro.nn.mlp import MLP
@@ -64,9 +65,7 @@ class PINNTrainConfig:
     replay engine (:mod:`repro.autodiff.compile`): the loss graph is
     recorded at the first epoch and each subsequent epoch replays it over
     reused buffers — the epoch loop skips all Tensor/closure rebuilds.
-    ``compile="codegen"`` further lowers the trace to fused straight-line
-    NumPy source (:mod:`repro.autodiff.codegen`, automatic fallback to
-    replay when the program is not fully lowerable).
+    ``compile`` must be a ``bool``; anything else raises ``ValueError``.
     """
 
     epochs: int = 2000
@@ -76,7 +75,10 @@ class PINNTrainConfig:
     n_boundary: int = 40
     alternating: bool = True
     log_every: int = 0
-    compile: Union[bool, str, None] = False
+    compile: bool = False
+
+    def __post_init__(self) -> None:
+        check_compile_flag(self.compile)
 
 
 @dataclass
@@ -133,14 +135,7 @@ def _train(
     recorders cost one truth test per epoch.
     """
     if config.compile:
-        from repro.autodiff.compile import (
-            compiled_value_and_grad_tree,
-            resolve_compile_mode,
-        )
-
-        vg = compiled_value_and_grad_tree(
-            loss_fn, mode=resolve_compile_mode(config.compile) or "replay"
-        )
+        vg = compiled_value_and_grad_tree(loss_fn)
     else:
         vg = value_and_grad_tree(loss_fn)
     opt = Adam(lr=config.lr)

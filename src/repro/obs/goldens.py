@@ -38,7 +38,7 @@ class Tier0Config:
     reynolds: float = 100.0  # navier-stokes only
     perturbation: float = 0.3  # navier-stokes only
     backend: str = "dense"
-    compile: bool = False
+    compile: bool = False  # DP only: trace-once replay
 
 
 TIER0: Dict[str, Tier0Config] = {
@@ -87,7 +87,7 @@ def _build_oracle(cfg: Tier0Config):
         if cfg.method == "dp":
             return LaplaceDP(problem, compile=cfg.compile)
         if cfg.method == "dal":
-            return LaplaceDAL(problem, compile=cfg.compile)
+            return LaplaceDAL(problem)
     elif cfg.problem == "navier-stokes":
         from repro.cloud.channel import ChannelCloud
         from repro.control.dal import NavierStokesDAL
@@ -107,7 +107,6 @@ def _build_oracle(cfg: Tier0Config):
                 problem,
                 ns_cfg,
                 adjoint_refinements=cfg.adjoint_refinements,
-                compile=cfg.compile,
             )
     raise ValueError(f"unknown tier-0 combination: {cfg.problem}/{cfg.method}")
 

@@ -10,8 +10,7 @@ repo's own performance trajectory.  Each entry carries:
   comparator never scores a run against a differently-shaped baseline,
 - per-run **metrics** pulled from the bench harness and the
   SpanProfiler/MetricsRegistry: wall time, peak memory, final cost,
-  per-phase seconds, Krylov iteration totals, cache hit rates, fused
-  fraction.
+  per-phase seconds, Krylov iteration totals, cache hit rates.
 
 On top sits a robust statistical comparator
 (:func:`compare_entries`): per-metric baselines from the rolling
@@ -78,7 +77,7 @@ _REQUIRED_KEYS = (
 #: ``cache_hit_rate`` are validated separately).
 _SCALAR_METRICS = (
     "wall_time_s", "peak_mem_bytes", "final_cost", "iterations",
-    "solver_iterations", "fused_fraction",
+    "solver_iterations",
 )
 
 
@@ -97,7 +96,7 @@ def run_metrics(result: Any, obs: Optional[Mapping[str, Any]] = None) -> Dict[st
     ``final_cost``, ``iterations``).  ``obs`` is the optional
     observability payload the bench CLI collects per run —
     ``{"phase_seconds": ..., "metrics": <registry snapshot>}`` — from
-    which the solver/cache/codegen metrics are mined.
+    which the solver and cache metrics are mined.
     """
     out: Dict[str, Any] = {
         "wall_time_s": float(result.wall_time_s),
@@ -121,9 +120,6 @@ def run_metrics(result: Any, obs: Optional[Mapping[str, Any]] = None) -> Dict[st
     kry = _value("krylov.iterations")
     if kry is not None:
         out["solver_iterations"] = kry
-    fused = _value("codegen.fused_fraction")
-    if fused is not None:
-        out["fused_fraction"] = fused
     rates: Dict[str, float] = {}
     for name in snap:
         if name.startswith("cache.") and name.endswith(".hits"):
@@ -301,7 +297,7 @@ def metric_direction(metric: str) -> Tuple[str, bool]:
         return "cost", True
     if name in ("solver_iterations", "iterations"):
         return "count", True
-    if name == "fused_fraction" or "cache_hit_rate" in name:
+    if "cache_hit_rate" in name:
         return "rate", False  # higher is better
     if name.endswith("_rps") or "throughput" in name:
         return "throughput", False  # higher is better

@@ -6,10 +6,13 @@ worst 1e-12 relative) precision across arbitrarily many input changes —
 and must fall back to a fresh trace whenever the input signature changes.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.autodiff import ops
+from repro.autodiff import linalg, ops
+from repro.autodiff.batching import vbatch
 from repro.autodiff.compile import (
     CompileError,
     CompiledProgram,
@@ -19,7 +22,7 @@ from repro.autodiff.compile import (
 from repro.autodiff.functional import value_and_grad
 from repro.autodiff.linalg import LUSolver
 from repro.autodiff.sparse import sparse_pattern_solve
-from repro.autodiff.tensor import Tensor
+from repro.autodiff.tensor import Tensor, asdata
 from repro.cloud.square import SquareCloud
 from repro.control.dp import LaplaceDP
 from repro.nn.mlp import MLP
@@ -160,6 +163,115 @@ def test_lu_solver_replay_matches_eager():
         ve, ge = eager(b)
         vc, gc = comp(b)
         assert vc == ve and np.array_equal(gc, ge)
+
+
+# ----------------------------------------------------------------------
+# Replay == eager, bitwise: general-rank matmul VJPs and solve programs
+# ----------------------------------------------------------------------
+STACKED_MATMUL_SHAPES = [
+    ((3, 4), (4, 2)),          # plain 2x2
+    ((2, 3, 4), (4, 2)),       # stacked @ matrix
+    ((3, 4), (2, 4, 2)),       # matrix @ stacked
+    ((2, 3, 4), (2, 4, 2)),    # equal batch
+    ((1, 3, 4), (5, 4, 2)),    # broadcast batch
+    ((5, 2, 3, 4), (4, 2)),    # rank-4 @ matrix
+]
+
+
+def _matmul_program(sa, sb):
+    rng = np.random.default_rng(zlib.crc32(f"{sa}{sb}".encode()))
+
+    def loss(a, b):
+        return ops.sum_(ops.square(ops.matmul(a, b)))
+
+    return loss, (rng.standard_normal(sa), rng.standard_normal(sb)), (0, 1)
+
+
+def _solve_program():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+
+    def loss(b):
+        x = linalg.solve(A, ops.exp(b))
+        return ops.sum_(ops.square(x)) + ops.sum_(b * x)
+
+    return loss, (np.linspace(0.1, 1.0, 6),), 0
+
+
+def _lu_solver_program():
+    rng = np.random.default_rng(8)
+    solver = LUSolver(rng.standard_normal((5, 5)) + 5.0 * np.eye(5))
+
+    def loss(b):
+        return ops.sum_(ops.square(solver(ops.sin(b))))
+
+    return loss, (np.linspace(0.1, 1.0, 5),), 0
+
+
+REPLAY_PROGRAMS = {
+    **{
+        f"matmul:{sa}@{sb}": (lambda sa=sa, sb=sb: _matmul_program(sa, sb))
+        for sa, sb in STACKED_MATMUL_SHAPES
+    },
+    "solve": _solve_program,
+    "lu_solver": _lu_solver_program,
+}
+
+
+@pytest.mark.parametrize("name", list(REPLAY_PROGRAMS))
+def test_replay_program_bitwise_matches_eager(name):
+    loss, args, argnums = REPLAY_PROGRAMS[name]()
+    eager = value_and_grad(loss, argnums=argnums)
+    comp = compiled_value_and_grad(loss, argnums=argnums)
+    for k in range(3):  # one trace, then two replays on new values
+        call_args = [a * (1.0 + 0.1 * k) for a in args]
+        ve, ge = eager(*call_args)
+        vc, gc = comp(*call_args)
+        assert vc == ve, name
+        ge = ge if isinstance(ge, tuple) else (ge,)
+        gc = gc if isinstance(gc, tuple) else (gc,)
+        for a, b in zip(gc, ge):
+            assert np.array_equal(a, b), f"{name}: max |diff| {np.max(np.abs(a - b))}"
+    info = comp.cache_info()
+    assert info["programs"] == 1 and info["replays"] == 2, name
+
+
+def test_replay_matches_eager_on_conformance_case(batch_case):
+    """Every conformance program, replayed on new differentiable inputs.
+
+    ``test_batching::test_compiled_matches_eager`` replays on the inputs
+    it traced with; here the differentiable arguments are rescaled before
+    each of two replays (constant arguments stay fixed, so neither call
+    re-traces), which catches a replay that reuses stale forward values.
+    The factors are positive: a condition computed from input values
+    (``where:traced_mask``) is baked at trace time, and a positive
+    rescaling keeps its sign pattern.
+    """
+    case = batch_case
+    if not case.compileable:
+        pytest.skip("argument not hashable/wrappable by the compile cache")
+    diff_idx = tuple(i for i, d in enumerate(case.diff) if d)
+    base = case.make_args(np.random.default_rng(zlib.crc32(case.label.encode())), 3)
+
+    def loss(*call_args):
+        return ops.sum_(vbatch(case.fn, in_axes=case.in_axes)(*call_args))
+
+    eager = value_and_grad(loss, argnums=diff_idx)
+    comp = compiled_value_and_grad(loss, argnums=diff_idx)
+    for k in range(3):  # one trace, then two replays on new values
+        args = [a * (1.0 + 0.1 * k) if i in diff_idx else a for i, a in enumerate(base)]
+        ve, ge = eager(*args)
+        vc, gc = comp(*args)
+        assert float(vc) == float(ve), case.label
+        ge = ge if isinstance(ge, (tuple, list)) else (ge,)
+        gc = gc if isinstance(gc, (tuple, list)) else (gc,)
+        for a, b in zip(gc, ge):
+            a, b = asdata(a), asdata(b)
+            assert np.array_equal(a, b), (
+                f"{case.label}: max |diff| {np.max(np.abs(a - b))}"
+            )
+    info = comp.cache_info()
+    assert info["programs"] == 1 and info["replays"] == 2, case.label
 
 
 # ----------------------------------------------------------------------

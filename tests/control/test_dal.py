@@ -107,3 +107,43 @@ class TestNavierStokesDAL:
     def test_default_adjoint_refinements(self, channel_problem):
         d = NavierStokesDAL(channel_problem, NSConfig(refinements=3))
         assert d.adjoint_refinements >= 15
+
+
+class TestWorkspaceReuse:
+    """The DAL oracles reuse their adjoint workspaces across calls; a
+    call must not see state left behind by the previous one."""
+
+    @staticmethod
+    def _assert_stateless(make_oracle, c1, c2):
+        fresh_j, fresh_g = make_oracle().value_and_grad(c1)
+        reused = make_oracle()
+        reused.value_and_grad(c1)
+        reused.value_and_grad(c2)
+        j, g = reused.value_and_grad(c1)
+        assert j == fresh_j
+        assert np.array_equal(g, fresh_g)
+
+    @pytest.mark.parametrize("backend", ["dense", "local"])
+    def test_laplace(self, backend):
+        from repro.cloud.square import SquareCloud
+        from repro.pde.laplace import LaplaceControlProblem
+
+        prob = LaplaceControlProblem(SquareCloud(10), backend=backend)
+        c1 = np.linspace(-0.2, 0.3, prob.n_control)
+        self._assert_stateless(lambda: LaplaceDAL(prob), c1, 2.0 * c1 + 0.1)
+
+    @pytest.mark.parametrize("backend", ["dense", "local"])
+    def test_navier_stokes(self, backend):
+        from repro.cloud.channel import ChannelCloud
+        from repro.pde.navier_stokes import ChannelFlowProblem
+
+        prob = ChannelFlowProblem(
+            cloud=ChannelCloud(13, 7), perturbation=0.3, backend=backend
+        )
+        cfg = NSConfig(reynolds=100.0, refinements=3)
+        c1 = prob.default_control()
+        self._assert_stateless(
+            lambda: NavierStokesDAL(prob, cfg, adjoint_refinements=8),
+            c1,
+            0.5 * c1,
+        )

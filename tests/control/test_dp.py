@@ -5,12 +5,18 @@ import pytest
 
 from repro.autodiff.check import directional_numerical_derivative
 from repro.autodiff.linalg import LUSolver
+from repro.autodiff.linalg import solve as ad_solve
 from repro.autodiff.sparse import SparseLUSolver
+from repro.cloud.channel import ChannelCloud
 from repro.cloud.square import SquareCloud
 from repro.control.dp import LaplaceDP, NavierStokesDP
 from repro.control.loop import optimize
+from repro.control.pinn import PINNTrainConfig
+from repro.obs.goldens import TIER0
+from repro.obs.metrics import use_registry
 from repro.pde.laplace import LaplaceControlProblem
-from repro.pde.navier_stokes import NSConfig
+from repro.pde import navier_stokes
+from repro.pde.navier_stokes import ChannelFlowProblem, NSConfig
 
 
 class TestLaplaceDP:
@@ -133,6 +139,70 @@ class TestNavierStokesDP:
         np.testing.assert_allclose(
             dp.initial_control(), channel_problem.default_control()
         )
+
+
+class TestCompileFlag:
+    """``compile=`` takes a bool; tier names raise instead of picking one."""
+
+    @pytest.mark.parametrize("flag", ["codegen", "replay", "1", 1, None])
+    def test_laplace_dp_rejects_non_bool(self, laplace_problem, flag):
+        with pytest.raises(ValueError, match="tier was removed"):
+            LaplaceDP(laplace_problem, compile=flag)
+
+    @pytest.mark.parametrize("flag", ["codegen", "replay"])
+    def test_ns_dp_rejects_non_bool(self, channel_problem, flag):
+        with pytest.raises(ValueError, match=repr(flag)):
+            NavierStokesDP(channel_problem, compile=flag)
+
+    @pytest.mark.parametrize("flag", ["codegen", "replay"])
+    def test_pinn_config_rejects_non_bool(self, flag):
+        with pytest.raises(ValueError, match=repr(flag)):
+            PINNTrainConfig(compile=flag)
+
+
+class TestFactorizationCount:
+    """The autodiff ``solve`` counts every dense factorisation it runs."""
+
+    @pytest.fixture(scope="class")
+    def tier0(self):
+        cfg = TIER0["ns_dp_tier0"]
+        problem = ChannelFlowProblem(
+            cloud=ChannelCloud(cfg.nx, cfg.ny), perturbation=cfg.perturbation
+        )
+        ns_cfg = NSConfig(reynolds=cfg.reynolds, refinements=cfg.refinements)
+        return problem, ns_cfg
+
+    @staticmethod
+    def _factorizations(oracle, c) -> int:
+        with use_registry() as reg:
+            oracle.value_and_grad(c)
+        return reg.counter("linalg.dense.factorizations").value
+
+    def test_eager_counts_one_per_solve(self, tier0, monkeypatch):
+        problem, ns_cfg = tier0
+        oracle = NavierStokesDP(problem, ns_cfg)
+        c = problem.default_control()
+        calls = []
+
+        def counted_solve(A, b, *args, **kwargs):
+            calls.append(1)
+            return ad_solve(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(navier_stokes, "ad_solve", counted_solve)
+        assert self._factorizations(oracle, c) == len(calls)
+        assert len(calls) == 2 * ns_cfg.refinements  # u* and v* per refinement
+
+    def test_replay_counts_each_refactorization(self, tier0):
+        problem, ns_cfg = tier0
+        oracle = NavierStokesDP(problem, ns_cfg, compile=True)
+        c = problem.default_control()
+        # A replay refactorises only solves whose matrix is on the tape.
+        # The first refinement assembles its matrix from the constant
+        # initial state, so its factors are baked into the trace.
+        per_replay = 2 * (ns_cfg.refinements - 1)
+        # The first call runs eagerly, then validates one replay.
+        assert self._factorizations(oracle, c) == 2 * ns_cfg.refinements + per_replay
+        assert self._factorizations(oracle, c) == per_replay
 
 
 class TestSmoothnessPenalty:

@@ -60,7 +60,6 @@ class TestRunMetrics:
             "phase_seconds": {"grad": 1.5, "eval": 0.5},
             "metrics": {
                 "krylov.iterations": {"kind": "counter", "value": 420.0},
-                "codegen.fused_fraction": {"kind": "gauge", "value": 0.75},
                 "cache.lu-cache.hits": {"kind": "gauge", "value": 90.0},
                 "cache.lu-cache.misses": {"kind": "gauge", "value": 10.0},
                 "cache.cold.hits": {"kind": "gauge", "value": 0.0},
@@ -70,7 +69,6 @@ class TestRunMetrics:
         m = run_metrics(_FakeResult(), obs)
         assert m["phase_seconds"] == {"eval": 0.5, "grad": 1.5}
         assert m["solver_iterations"] == 420.0
-        assert m["fused_fraction"] == 0.75
         # hit rate = hits / (hits + misses); never-used caches are dropped.
         assert m["cache_hit_rate"] == {"lu-cache": 0.9}
 
@@ -219,7 +217,6 @@ class TestMetricDirection:
         ("laplace_dp/final_cost", "cost", True),
         ("laplace_dp/iterations", "count", True),
         ("ns_dal/solver_iterations", "count", True),
-        ("laplace_dp/fused_fraction", "rate", False),
         ("laplace_dp/cache_hit_rate.lu-cache", "rate", False),
         ("serve/throughput_rps", "throughput", False),
         ("serve/latency_p95_s", "time", True),
