@@ -32,10 +32,10 @@ stacked primitive calls on the tracer's underlying
   per-item program exactly (1-D operands become row/column matrices,
   extra leading axes are broadcast, never flattened), so the forward
   *and* the reverse-pass GEMMs are bitwise identical per item;
-- **solve-family** primitives (``solve``/``lu_solve``/``lstsq``/
-  ``sparse_solve``/``sparse_lu_solve``/``sparse_matvec``/
-  ``sparse_pattern_solve``/``krylov_solve``/``krylov_pattern_solve``)
-  transpose the batched right-hand side into
+- **solve-family** primitives (``solve``/``solve_row_affine``/
+  ``lu_solve``/``lstsq``/``sparse_solve``/``sparse_lu_solve``/
+  ``sparse_matvec``/``sparse_pattern_solve``/``krylov_solve``/
+  ``krylov_pattern_solve``) transpose the batched right-hand side into
   an ``(n, N)`` column block and perform ONE factorisation + ONE
   multi-RHS triangular solve (``getrs``/``spsolve``) — forward and
   adjoint: the transposed solve in the implicit VJP receives the same
@@ -368,13 +368,12 @@ def register_rule(name: str) -> Callable:
 
 
 def _contains_tracer(seq: Tuple) -> bool:
+    # Recursive: ``solve_row_affine`` nests its tape operands in pairs.
     for x in seq:
         if isinstance(x, (BatchTracer, BatchedMask)):
             return True
-        if isinstance(x, (list, tuple)):
-            for y in x:
-                if isinstance(y, (BatchTracer, BatchedMask)):
-                    return True
+        if isinstance(x, (list, tuple)) and _contains_tracer(x):
+            return True
     return False
 
 
@@ -746,6 +745,7 @@ def _register_rhs_rule(name: str, rhs_pos: int) -> None:
 
 for _name, _pos in (
     ("solve", 1),
+    ("solve_row_affine", 2),  # (A0, terms, B)
     ("lstsq", 1),
     ("lu_solve", 1),  # LUSolver.__call__: (self, b)
     ("sparse_solve", 1),

@@ -16,11 +16,16 @@ linear system — the property the paper calls the "gold standard".
 
 The LU factorisation computed in the forward pass is cached on the tape
 node and reused in the backward pass, halving the factorisation cost.
+
+:func:`solve_row_affine` is the structured sibling for matrices of the
+form ``A = A0 + Σ_k diag(s_k) D_k`` with constant ``A0`` and ``D_k``:
+only the row scalings ``s_k`` live on the tape, so neither ``A`` nor its
+cotangent is ever recorded as an ``(n, n)`` node.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -109,6 +114,103 @@ def solve(A: ArrayLike, b: ArrayLike, assume_a: str = "gen") -> Tensor:
         return -(w @ x.T)
 
     return make_node(x, [(tA, vjp_A), (tb, vjp_b)], "solve", fwd=fwd)
+
+
+def _row_affine_matrix(
+    A0: np.ndarray, terms: Sequence[Tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Assemble ``A0 + Σ_k diag(s_k) D_k`` into a fresh dense array.
+
+    The one assembly of a row-affine matrix: :func:`solve_row_affine`
+    and every NumPy caller that must reproduce its forward bit for bit
+    (the Navier–Stokes momentum step) build ``A`` here.
+    """
+    A = np.array(A0, dtype=np.float64)
+    scaled = np.empty_like(A)
+    for s, D in terms:
+        np.multiply(np.asarray(s)[:, None], D, out=scaled)
+        A += scaled
+    return A
+
+
+@primitive("solve_row_affine")
+def solve_row_affine(
+    A0: np.ndarray,
+    terms: Sequence[Tuple[ArrayLike, np.ndarray]],
+    B: ArrayLike,
+) -> Tensor:
+    """Differentiable solve of ``(A0 + Σ_k diag(s_k) D_k) X = B``.
+
+    Parameters
+    ----------
+    A0:
+        Constant ``(n, n)`` part of the matrix.
+    terms:
+        ``(s_k, D_k)`` pairs: ``(n,)`` row scalings, which may be on the
+        tape, and constant ``(n, n)`` operators.
+    B:
+        ``(n,)`` vector or ``(n, m)`` block of right-hand sides.
+
+    The matrix is assembled by :func:`_row_affine_matrix` and factorised
+    once for the whole block; the node keeps only the LU factors and
+    ``X``.  With ``W = A^{-T} \\bar X`` the VJPs are
+
+    .. math::
+
+        \\bar B = W, \\qquad
+        \\bar s_k = -\\textstyle\\sum_{\\text{cols}} W \\odot (D_k X),
+
+    the restriction of the dense ``Ā = −W Xᵀ`` to the row scalings, so
+    no ``(n, n)`` cotangent is formed.  Replay refactorises only when
+    some ``s_k`` is on the tape, the rule :func:`solve` uses for ``A``.
+    """
+    A0 = np.asarray(A0, dtype=np.float64)
+    if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
+        raise ValueError(f"solve_row_affine expects a square A0, got {A0.shape}")
+    pairs = [(tensor(s), np.asarray(D, dtype=np.float64)) for s, D in terms]
+    for t, D in pairs:
+        if t.shape != A0.shape[:1] or D.shape != A0.shape:
+            raise ValueError(
+                f"row-affine term has scaling {t.shape} and operator "
+                f"{D.shape}; A0 is {A0.shape}"
+            )
+    tB = tensor(B)
+    Bd = tB.data
+    data_terms = [(t.data, D) for t, D in pairs]
+
+    # One-slot holder, as in :func:`solve`: replay refreshes the factors
+    # from the current scalings and the VJPs read through it.
+    holder: list = [None]
+
+    def refactor() -> None:
+        A = _row_affine_matrix(A0, data_terms)
+        holder[0] = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+        get_registry().counter("linalg.dense.factorizations").inc()
+
+    def solve_T(g: np.ndarray) -> np.ndarray:
+        return sla.lu_solve(holder[0], g, trans=1, check_finite=False)
+
+    refactor()
+    X = np.asarray(sla.lu_solve(holder[0], Bd, check_finite=False))
+    s_on_tape = any(t.needs_tape() for t, _ in pairs)
+
+    def vjp_B(g: np.ndarray) -> np.ndarray:
+        return solve_T(g)
+
+    def vjp_s(D: np.ndarray):
+        def vjp(g: np.ndarray) -> np.ndarray:
+            WDX = solve_T(g) * (D @ X)
+            return -WDX if X.ndim == 1 else -np.sum(WDX, axis=1)
+
+        return vjp
+
+    def fwd(o: np.ndarray) -> None:
+        if s_on_tape:
+            refactor()
+        o[...] = sla.lu_solve(holder[0], Bd, check_finite=False)
+
+    parents = [(t, vjp_s(D)) for t, D in pairs] + [(tB, vjp_B)]
+    return make_node(X, parents, "solve_row_affine", fwd=fwd)
 
 
 class LUSolver:

@@ -41,11 +41,18 @@ from repro.obs.metrics import get_registry
 
 
 def _splu(A) -> spla.SuperLU:
-    """Factorise a sparse matrix (any format) with SuperLU."""
+    """Factorise a sparse matrix (any format) with SuperLU.
+
+    Counted in ``linalg.sparse.factorizations``, the counter
+    :class:`SparseLUSolver` bumps, so every sparse factorisation on the
+    tape (eager or replayed) is counted once.
+    """
     A = sp.csc_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"sparse solve expects a square matrix, got {A.shape}")
-    return spla.splu(A.astype(np.float64))
+    lu = spla.splu(A.astype(np.float64))
+    get_registry().counter("linalg.sparse.factorizations").inc()
+    return lu
 
 
 @primitive("sparse_solve")

@@ -27,7 +27,9 @@ to iteratively bring the fields to steady states" with ``k`` refinements:
 
 1. **momentum** with frozen advection (Picard linearisation) and lagged
    pressure gradient:
-   ``(uⁿ·∇)u* − (1/Re)Δu* = −∇pⁿ`` (componentwise, with each field's BCs);
+   ``(uⁿ·∇)u* − (1/Re)Δu* = −∇pⁿ`` (componentwise, with each field's BCs).
+   Both components share one matrix, so ``u*`` and ``v*`` come from one
+   factorisation and one two-column solve;
 2. **pressure correction**: ``Δφ = (∇·u*) / dt`` with ``∂φ/∂n = 0``
    except ``φ = 0`` at the outflow;
 3. **projection**: ``uⁿ⁺¹ = u* − dt ∇φ`` away from Dirichlet nodes,
@@ -50,7 +52,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.autodiff import ops
-from repro.autodiff.linalg import solve as ad_solve
+from repro.autodiff.linalg import _row_affine_matrix, solve_row_affine
 from repro.autodiff.sparse import (
     make_linear_solver,
     sparse_matvec,
@@ -278,6 +280,9 @@ class ChannelFlowProblem:
         self.u_init = poiseuille_profile(cloud_.y, geo.ly)
         self.v_init = np.zeros(cloud_.n)
 
+        # Constant part of the dense momentum matrix, per Reynolds number.
+        self._momentum_base: Dict[float, np.ndarray] = {}
+
     # ------------------------------------------------------------------
     # Shared assembly pieces
     # ------------------------------------------------------------------
@@ -317,9 +322,24 @@ class ChannelFlowProblem:
             + (self._mom_bc - self._mom_lap / reynolds)
         )
 
+    def _momentum_operand(self, u, v, reynolds: float):
+        """The dense momentum matrix as a row-affine operand ``(A0, terms)``.
+
+        ``A = A0 + diag(mask∘u)·Dx + diag(mask∘v)·Dy`` with the constant
+        ``A0 = rows_u − mask·lap/Re`` (cached per Reynolds number).  Works
+        on arrays and on tape tensors alike; the NumPy and the tape path
+        both assemble through it, so their forwards agree bit for bit.
+        """
+        A0 = self._momentum_base.get(reynolds)
+        if A0 is None:
+            lap = (1.0 / reynolds) * self.nodal.lap
+            A0 = self.rows_u - self.mask_int[:, None] * lap
+            self._momentum_base[reynolds] = A0
+        mask, nd = self.mask_int, self.nodal
+        return A0, ((mask * u, nd.dx), (mask * v, nd.dy))
+
     def momentum_matrix_numpy(self, u: np.ndarray, v: np.ndarray, reynolds: float):
         """Frozen-advection momentum system (NumPy path, either backend)."""
-        nd = self.nodal
         if self.backend == "local":
             return sp.csr_matrix(
                 (
@@ -328,20 +348,16 @@ class ChannelFlowProblem:
                 ),
                 shape=(self.cloud.n, self.cloud.n),
             )
-        op = (
-            u[:, None] * nd.dx + v[:, None] * nd.dy - (1.0 / reynolds) * nd.lap
-        )
-        return self.mask_int[:, None] * op + self.rows_u
+        return _row_affine_matrix(*self._momentum_operand(u, v, reynolds))
 
     def momentum_matrix_ad(self, u, v, reynolds: float):
-        """Frozen-advection momentum system (dense autodiff path)."""
-        nd = self.nodal
-        op = (
-            ops.mul(ops.reshape(u, (-1, 1)), nd.dx)
-            + ops.mul(ops.reshape(v, (-1, 1)), nd.dy)
-            - (1.0 / reynolds) * nd.lap
-        )
-        return self.mask_int[:, None] * op + self.rows_u
+        """Frozen-advection momentum system (dense autodiff path).
+
+        Returns the row-affine operand ``(A0, terms)`` that
+        :func:`~repro.autodiff.linalg.solve_row_affine` takes; only the
+        row scalings ``mask∘u`` and ``mask∘v`` are recorded on the tape.
+        """
+        return self._momentum_operand(u, v, reynolds)
 
     # ------------------------------------------------------------------
     # NumPy solve (DAL / forward evaluation)
@@ -364,20 +380,18 @@ class ChannelFlowProblem:
                 A = self.momentum_matrix_numpy(u, v, config.reynolds)
                 bu = mask * (-(nd.dx @ p)) + b_u_bc
                 bv = mask * (-(nd.dy @ p)) + self.b_v_fixed
+                B = np.stack([bu, bv], axis=1)
                 if self.backend == "local" and self.solver == "iterative":
                     from repro.autodiff.krylov import KrylovSolver
 
-                    ks = KrylovSolver(A, **self.solver_opts)
-                    u_star = ks.solve_numpy(bu)
-                    v_star = ks.solve_numpy(bv)
+                    X = KrylovSolver(A, **self.solver_opts).solve_numpy(B)
                 elif self.backend == "local":
-                    lu = spla.splu(sp.csc_matrix(A))
-                    u_star = lu.solve(bu)
-                    v_star = lu.solve(bv)
+                    X = spla.splu(sp.csc_matrix(A)).solve(B)
                 else:
-                    lu = sla.lu_factor(A, check_finite=False)
-                    u_star = sla.lu_solve(lu, bu, check_finite=False)
-                    v_star = sla.lu_solve(lu, bv, check_finite=False)
+                    # The same calls as ``solve_row_affine``'s forward.
+                    lu = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+                    X = sla.lu_solve(lu, B, check_finite=False)
+                u_star, v_star = X[:, 0], X[:, 1]
 
             with _span("ns.pressure", "pde"):
                 div = nd.dx @ u_star + nd.dy @ v_star
@@ -447,30 +461,25 @@ class ChannelFlowProblem:
             with _span("ns.momentum", "pde"):
                 bu = mask * (-dxm(p)) + b_u_bc
                 bv = mask * (-dym(p)) + self.b_v_fixed
+                # One factorisation and one two-column solve per step.
+                B = ops.stack([bu, bv], axis=1)
                 if local and self.solver == "iterative":
                     from repro.autodiff.krylov import krylov_pattern_solve
 
                     data = self.momentum_data_ad(u, v, config.reynolds)
-                    u_star = krylov_pattern_solve(
-                        self._mom_rows, self._mom_cols, (n, n), data, bu,
-                        **self.solver_opts,
-                    )
-                    v_star = krylov_pattern_solve(
-                        self._mom_rows, self._mom_cols, (n, n), data, bv,
+                    X = krylov_pattern_solve(
+                        self._mom_rows, self._mom_cols, (n, n), data, B,
                         **self.solver_opts,
                     )
                 elif local:
                     data = self.momentum_data_ad(u, v, config.reynolds)
-                    u_star = sparse_pattern_solve(
-                        self._mom_rows, self._mom_cols, (n, n), data, bu
-                    )
-                    v_star = sparse_pattern_solve(
-                        self._mom_rows, self._mom_cols, (n, n), data, bv
+                    X = sparse_pattern_solve(
+                        self._mom_rows, self._mom_cols, (n, n), data, B
                     )
                 else:
-                    A = self.momentum_matrix_ad(u, v, config.reynolds)
-                    u_star = ad_solve(A, bu)
-                    v_star = ad_solve(A, bv)
+                    A0, terms = self.momentum_matrix_ad(u, v, config.reynolds)
+                    X = solve_row_affine(A0, terms, B)
+                u_star, v_star = X[:, 0], X[:, 1]
 
             with _span("ns.pressure", "pde"):
                 div = dxm(u_star) + dym(v_star)

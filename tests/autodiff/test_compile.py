@@ -198,6 +198,21 @@ def _solve_program():
     return loss, (np.linspace(0.1, 1.0, 6),), 0
 
 
+def _row_affine_program():
+    rng = np.random.default_rng(9)
+    A0 = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    D1, D2 = rng.standard_normal((2, 6, 6))
+
+    def loss(s, b):
+        # Scalings and right-hand side both on the tape, so every replay
+        # refactorises from the new values.
+        B = ops.stack([ops.exp(b), b], axis=1)
+        X = linalg.solve_row_affine(A0, ((s, D1), (ops.square(s), D2)), B)
+        return ops.sum_(ops.square(X)) + ops.sum_(b * X[:, 0])
+
+    return loss, (np.linspace(0.1, 0.4, 6), np.linspace(0.1, 1.0, 6)), (0, 1)
+
+
 def _lu_solver_program():
     rng = np.random.default_rng(8)
     solver = LUSolver(rng.standard_normal((5, 5)) + 5.0 * np.eye(5))
@@ -214,6 +229,7 @@ REPLAY_PROGRAMS = {
         for sa, sb in STACKED_MATMUL_SHAPES
     },
     "solve": _solve_program,
+    "solve_row_affine": _row_affine_program,
     "lu_solver": _lu_solver_program,
 }
 

@@ -5,9 +5,15 @@ import pytest
 import scipy.sparse as sp
 
 from repro.autodiff import ops
-from repro.autodiff.check import numerical_gradient
+from repro.autodiff.check import check_gradient, numerical_gradient
 from repro.autodiff.functional import grad, value_and_grad
-from repro.autodiff.linalg import LUSolver, lstsq, norm, solve
+from repro.autodiff.linalg import (
+    LUSolver,
+    lstsq,
+    norm,
+    solve,
+    solve_row_affine,
+)
 from repro.autodiff.sparse import (
     SparseLUSolver,
     make_linear_solver,
@@ -15,6 +21,7 @@ from repro.autodiff.sparse import (
     sparse_pattern_solve,
     sparse_solve,
 )
+from repro.autodiff.tensor import tensor
 
 RNG = np.random.default_rng(3)
 N = 6
@@ -91,6 +98,75 @@ class TestSolve:
         g = grad(f)(c0)
         num = numerical_gradient(lambda c: float(f(c).data), c0)
         np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-9)
+
+
+class TestSolveRowAffine:
+    """``(A0 + Σ_k diag(s_k) D_k) X = B`` against ``solve`` on the
+    explicitly assembled matrix."""
+
+    D1 = RNG.standard_normal((N, N))
+    D2 = RNG.standard_normal((N, N))
+    S1 = RNG.uniform(0.1, 0.5, N)
+    S2 = RNG.uniform(0.1, 0.5, N)
+
+    def _both(self, b, w):
+        """Value and (s1, s2, b) gradients of ``Σ w ⊙ X`` by both routes."""
+
+        def structured(s1, s2, bb):
+            X = solve_row_affine(A, ((s1, self.D1), (s2, self.D2)), bb)
+            return ops.sum_(X * w)
+
+        def assembled(s1, s2, bb):
+            M = (
+                A
+                + ops.mul(ops.reshape(s1, (-1, 1)), self.D1)
+                + ops.mul(ops.reshape(s2, (-1, 1)), self.D2)
+            )
+            return ops.sum_(solve(M, bb) * w)
+
+        args = (self.S1, self.S2, b)
+        return (
+            value_and_grad(structured, argnums=(0, 1, 2))(*args),
+            value_and_grad(assembled, argnums=(0, 1, 2))(*args),
+        )
+
+    @pytest.mark.parametrize("rhs", ["vec", "block"])
+    def test_value_and_vjps_match_assembled_solve(self, rhs):
+        b = B if rhs == "vec" else B2
+        w = RNG.standard_normal(b.shape)
+        (v1, g1), (v2, g2) = self._both(b, w)
+        np.testing.assert_allclose(v1, v2, rtol=1e-12)
+        for a, e in zip(g1, g2):
+            assert a.shape == e.shape
+            np.testing.assert_allclose(a, e, rtol=1e-12, atol=0)
+
+    def test_forward_matches_numpy(self):
+        X = solve_row_affine(A, ((self.S1, self.D1), (self.S2, self.D2)), B2)
+        M = A + self.S1[:, None] * self.D1 + self.S2[:, None] * self.D2
+        np.testing.assert_allclose(X.data, np.linalg.solve(M, B2), rtol=1e-12)
+
+    def test_gradcheck(self):
+        w = RNG.standard_normal((N, 2))
+
+        def f(x):
+            s1, s2, b = x[:N], x[N : 2 * N], ops.reshape(x[2 * N :], (N, 2))
+            X = solve_row_affine(A, ((s1, self.D1), (s2, self.D2)), b)
+            return ops.sum_(ops.square(X) * w)
+
+        x0 = np.concatenate([self.S1, self.S2, B2.ravel()])
+        g = grad(f)(x0)
+        check_gradient(lambda x: float(f(x).data), g, x0, rtol=1e-6, atol=1e-9)
+
+    def test_constant_scalings_record_only_the_rhs(self):
+        b = tensor(B, requires_grad=True)
+        X = solve_row_affine(A, ((self.S1, self.D1),), b)
+        assert [p is b for p, _ in X._parents] == [True]
+
+    def test_rejects_mismatched_term(self):
+        with pytest.raises(ValueError, match="row-affine term"):
+            solve_row_affine(A, ((np.ones(N + 1), self.D1),), B)
+        with pytest.raises(ValueError, match="square"):
+            solve_row_affine(np.ones((2, 3)), (), np.ones(2))
 
 
 class TestLUSolver:

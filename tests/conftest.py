@@ -359,6 +359,33 @@ def _build_batching_cases():
         (None, 0), (True, True),
         fwd_tol=1e-10, grad_tol=1e-10,
     )
+
+    def row_affine_args(rng, n, rhs=(), batch_s1=False):
+        m = 6
+        return [
+            spd(rng, m), rng.standard_normal((m, m)), rng.standard_normal((m, m)),
+            rng.uniform(0.1, 0.5, (n, m) if batch_s1 else m),
+            rng.uniform(0.1, 0.5, m),
+            rng.standard_normal((n, m) + rhs),
+        ]
+
+    def row_affine(A0, D1, D2, s1, s2, b):
+        return linalg.solve_row_affine(A0, ((s1, D1), (s2, D2)), b)
+
+    for label, rhs in (("vec", ()), ("mat_rhs", (2,))):
+        add(
+            f"solve_row_affine:{label}", "solve_row_affine", row_affine,
+            lambda rng, n, rhs=rhs: row_affine_args(rng, n, rhs),
+            (None, None, None, None, None, 0),
+            (False, False, False, True, True, True),
+            fwd_tol=1e-10, grad_tol=1e-10,
+        )
+    add(  # a batched row scaling (nested in ``terms``) takes the loop
+        "solve_row_affine:batched_scale", "solve_row_affine", row_affine,
+        lambda rng, n: row_affine_args(rng, n, batch_s1=True),
+        (None, None, None, 0, None, 0),
+        (False, False, False, True, True, True),
+    )
     add(  # lstsq differentiates only b (documented restriction)
         "lstsq", "lstsq", linalg.lstsq,
         lambda rng, n: [rng.standard_normal((8, 4)), rng.standard_normal((n, 8))],

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.autodiff.check import directional_numerical_derivative
-from repro.autodiff.linalg import LUSolver
-from repro.autodiff.linalg import solve as ad_solve
+from repro.autodiff.linalg import LUSolver, solve_row_affine
 from repro.autodiff.sparse import SparseLUSolver
+from repro.autodiff.tensor import _topological_order, tensor
 from repro.cloud.channel import ChannelCloud
 from repro.cloud.square import SquareCloud
 from repro.control.dp import LaplaceDP, NavierStokesDP
@@ -17,6 +17,16 @@ from repro.obs.metrics import use_registry
 from repro.pde.laplace import LaplaceControlProblem
 from repro.pde import navier_stokes
 from repro.pde.navier_stokes import ChannelFlowProblem, NSConfig
+
+
+def _tier0_ns(**problem_kwargs):
+    """The ``ns_dp_tier0`` channel problem and its solver configuration."""
+    cfg = TIER0["ns_dp_tier0"]
+    problem = ChannelFlowProblem(
+        cloud=ChannelCloud(cfg.nx, cfg.ny), perturbation=cfg.perturbation,
+        **problem_kwargs,
+    )
+    return problem, NSConfig(reynolds=cfg.reynolds, refinements=cfg.refinements)
 
 
 class TestLaplaceDP:
@@ -161,22 +171,22 @@ class TestCompileFlag:
 
 
 class TestFactorizationCount:
-    """The autodiff ``solve`` counts every dense factorisation it runs."""
+    """Every factorisation on the tape is counted, one per momentum step.
+
+    The dense momentum step factorises its matrix once for both velocity
+    components (``solve_row_affine``); the sparse step does the same
+    through ``sparse_pattern_solve``.
+    """
 
     @pytest.fixture(scope="class")
     def tier0(self):
-        cfg = TIER0["ns_dp_tier0"]
-        problem = ChannelFlowProblem(
-            cloud=ChannelCloud(cfg.nx, cfg.ny), perturbation=cfg.perturbation
-        )
-        ns_cfg = NSConfig(reynolds=cfg.reynolds, refinements=cfg.refinements)
-        return problem, ns_cfg
+        return _tier0_ns()
 
     @staticmethod
-    def _factorizations(oracle, c) -> int:
+    def _factorizations(oracle, c, kind: str = "dense") -> int:
         with use_registry() as reg:
             oracle.value_and_grad(c)
-        return reg.counter("linalg.dense.factorizations").value
+        return reg.counter(f"linalg.{kind}.factorizations").value
 
     def test_eager_counts_one_per_solve(self, tier0, monkeypatch):
         problem, ns_cfg = tier0
@@ -184,13 +194,13 @@ class TestFactorizationCount:
         c = problem.default_control()
         calls = []
 
-        def counted_solve(A, b, *args, **kwargs):
+        def counted_solve(*args, **kwargs):
             calls.append(1)
-            return ad_solve(A, b, *args, **kwargs)
+            return solve_row_affine(*args, **kwargs)
 
-        monkeypatch.setattr(navier_stokes, "ad_solve", counted_solve)
+        monkeypatch.setattr(navier_stokes, "solve_row_affine", counted_solve)
         assert self._factorizations(oracle, c) == len(calls)
-        assert len(calls) == 2 * ns_cfg.refinements  # u* and v* per refinement
+        assert len(calls) == ns_cfg.refinements  # u* and v* share one solve
 
     def test_replay_counts_each_refactorization(self, tier0):
         problem, ns_cfg = tier0
@@ -199,10 +209,54 @@ class TestFactorizationCount:
         # A replay refactorises only solves whose matrix is on the tape.
         # The first refinement assembles its matrix from the constant
         # initial state, so its factors are baked into the trace.
-        per_replay = 2 * (ns_cfg.refinements - 1)
+        per_replay = ns_cfg.refinements - 1
         # The first call runs eagerly, then validates one replay.
-        assert self._factorizations(oracle, c) == 2 * ns_cfg.refinements + per_replay
+        assert self._factorizations(oracle, c) == ns_cfg.refinements + per_replay
         assert self._factorizations(oracle, c) == per_replay
+
+    def test_local_eager_counts_one_sparse_factorization_per_step(self):
+        problem, ns_cfg = _tier0_ns(backend="local")
+        oracle = NavierStokesDP(problem, ns_cfg)
+        c = problem.default_control()
+        # The pressure factorisation happens once, when the problem is built.
+        assert self._factorizations(oracle, c, "sparse") == ns_cfg.refinements
+        assert self._factorizations(oracle, c, "dense") == 0
+
+
+class TestMomentumStep:
+    """The NS momentum step on the tape: shape and forward parity.
+
+    The dense momentum matrix enters the tape only through its row
+    scalings, so every node is a vector or an ``(n, 2)`` block.
+    """
+
+    #: Interior nodes of one tier-0 gradient tape (k = 3 refinements).
+    #: A change here means the tape's structure changed: check why.
+    N_NODES = 87
+
+    def test_no_square_node_and_pinned_size(self):
+        problem, ns_cfg = _tier0_ns()
+        c = tensor(problem.default_control(), requires_grad=True)
+        u, v, _ = problem.solve_ad(c, ns_cfg)
+        nodes = [t for t in _topological_order(problem.cost_ad(u, v)) if t._parents]
+        n = problem.cloud.n
+        square = [t._op for t in nodes if t.shape == (n, n)]
+        assert square == []
+        assert len(nodes) == self.N_NODES
+
+    @pytest.mark.parametrize(
+        "backend,solver",
+        [("dense", "direct"), ("local", "direct"), ("local", "iterative")],
+    )
+    def test_tape_forward_equals_numpy_bitwise(self, backend, solver):
+        # Both paths assemble the momentum matrix through one helper and
+        # solve the stacked right-hand side with the same calls.
+        problem, ns_cfg = _tier0_ns(backend=backend, solver=solver)
+        c = problem.default_control()
+        st = problem.solve(c, ns_cfg)
+        u, v, p = problem.solve_ad(c, ns_cfg)
+        for a, b in ((u, st.u), (v, st.v), (p, st.p)):
+            assert np.array_equal(a.data, b)
 
 
 class TestSmoothnessPenalty:
