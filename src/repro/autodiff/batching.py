@@ -40,6 +40,9 @@ stacked primitive calls on the tracer's underlying
   multi-RHS triangular solve (``getrs``/``spsolve``) — forward and
   adjoint: the transposed solve in the implicit VJP receives the same
   column block and batches identically;
+- the fused network evaluation (``mlp``) passes stacked parameter sets
+  straight to the primitive, which evaluates them with leading-axis
+  matmuls;
 - anything a rule cannot express (a batched system matrix, exotic
   ``matmul`` ranks) *punts* to the :func:`_fallback_loop` rule, which
   loops ``getitem → primitive → stack`` — slower, still differentiable,
@@ -756,6 +759,26 @@ for _name, _pos in (
     ("krylov_pattern_solve", 4),  # (rows, cols, shape, data, b)
 ):
     _register_rhs_rule(_name, _pos)
+
+
+# ----------------------------------------------------------------------
+# Rule: fused network evaluation
+# ----------------------------------------------------------------------
+@register_rule("mlp")
+def _mlp_rule(raw, x, weights, activation, order=0):
+    """Stacked parameter sets through one network node.
+
+    :func:`repro.nn.derivatives.mlp_eval` accepts ``W``/``b`` with shared
+    leading axes, so the batched weights pass straight through (unbatched
+    ones are expanded) and every matmul of the forward and the reverse
+    sweep becomes a stacked matmul whose slices are the per-network GEMMs
+    — bitwise per slice.  Batched evaluation points take the loop.
+    """
+    if isinstance(x, BatchTracer) or not _contains_tracer(tuple(weights)):
+        raise _Punt
+    n = _STATE.size
+    ws = [w.t if isinstance(w, BatchTracer) else _expand_const(w, n) for w in weights]
+    return BatchTracer(raw(x, ws, activation, order))
 
 
 # ----------------------------------------------------------------------

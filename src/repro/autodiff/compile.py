@@ -55,6 +55,7 @@ from repro.autodiff.tensor import (
     VIEW_FWD,
     _topological_order,
     asdata,
+    reaching,
     tensor,
 )
 
@@ -248,9 +249,23 @@ class CompiledProgram:
     Holds the trace's node buffers (forward values) plus one preallocated
     cotangent buffer per node.  ``replay`` re-executes forward + backward
     over these buffers without constructing any graph objects.
+
+    ``wrt`` (one bool per leaf) restricts the backward schedule to the
+    nodes that reach a selected leaf; the other leaves are still replay
+    *inputs* — their values are copied in and every node that depends on
+    them is recomputed — but they get zero gradients and cost no VJP.
+    ``aux`` lists tensors of the trace whose refreshed values
+    :meth:`read_aux` returns after each replay; each must be a node of the
+    program (one the root depends on), or the program is not replayable.
     """
 
-    def __init__(self, root: Tensor, leaves: Sequence[Tensor]) -> None:
+    def __init__(
+        self,
+        root: Tensor,
+        leaves: Sequence[Tensor],
+        wrt: Optional[Sequence[bool]] = None,
+        aux: Sequence[Any] = (),
+    ) -> None:
         order = _topological_order(root)  # root first, leaves last
         pos = {id(n): i for i, n in enumerate(order)}
         self._order = order
@@ -280,36 +295,75 @@ class CompiledProgram:
         # bare 3-tuple unpack; only ``_replay_profiled`` reads these.
         self._fwd_costs = fwd_costs
 
-        # Cotangent half of each node's double buffer.
-        self._gradbufs: List[np.ndarray] = [np.empty_like(n.data) for n in order]
+        # Auxiliary outputs are read straight from their node buffers,
+        # which the forward sweep refreshes in place.
+        self._aux_bufs: List[np.ndarray] = []
+        for t in aux:
+            if not isinstance(t, Tensor) or id(t) not in pos:
+                self.replayable = False
+                self.unreplayable_op = self.unreplayable_op or "<aux>"
+                break
+            self._aux_bufs.append(t.data)
 
-        # Backward schedule, flattened at build time.  Every node in
-        # ``order`` is reachable from the root through parent edges, so
-        # every node receives at least one cotangent contribution — which
-        # write is the *first* (buffer initialisation via copy) versus an
+        # Nodes the backward visits: all of them, or those reaching a
+        # selected leaf (plus the root, whose buffer is seeded).
+        if wrt is None:
+            live = None
+        else:
+            live = reaching(order, [l for l, m in zip(leaves, wrt) if m])
+            live.add(id(root))
+
+        # Cotangent half of each visited node's double buffer.
+        self._gradbufs: List[Optional[np.ndarray]] = [
+            np.empty_like(n.data) if live is None or id(n) in live else None
+            for n in order
+        ]
+
+        # Backward schedule, flattened at build time.  Every visited node
+        # is reachable from the root through visited parent edges, so it
+        # receives at least one cotangent contribution — which write is
+        # the *first* (buffer initialisation via copy) versus an
         # accumulation (+=) is therefore static, and the runtime loop
         # needs no touched-flag bookkeeping at all.  Steps run in exactly
         # the order the eager backward would visit them, so accumulation
-        # order — and hence floating-point bits — match eager.
+        # order — and hence floating-point bits — match eager.  A node
+        # with a joint VJP contributes one step per visited parent, the
+        # first of which runs the joint sweep (see :func:`_joint_steps`).
         bwd_steps: List[Tuple[np.ndarray, Callable, np.ndarray, bool, str]] = []
         initialised = {0}  # root buffer is seeded directly
         for i, node in enumerate(order):
             g = self._gradbufs[i]
-            for p, vjp in node._parents:
-                pi = pos[id(p)]
+            if g is None:
+                continue
+            ks = [
+                k
+                for k, (p, _) in enumerate(node._parents)
+                if live is None or id(p) in live
+            ]
+            if node._vjp is not None:
+                fns = _joint_steps(node._vjp, ks)
+            else:
+                fns = [node._parents[k][1] for k in ks]
+            for k, vjp in zip(ks, fns):
+                pi = pos[id(node._parents[k][0])]
                 first = pi not in initialised
                 initialised.add(pi)
                 bwd_steps.append((g, vjp, self._gradbufs[pi], first, node._op))
         self._bwd_steps = bwd_steps
         self._root_grad = self._gradbufs[0]
 
-        self._leaf_pos = [pos.get(id(l), -1) for l in leaves]
+        mask = [True] * len(leaves) if wrt is None else list(wrt)
+        self._leaf_pos = [pos.get(id(l), -1) if m else -1 for l, m in zip(leaves, mask)]
         self._leaf_bufs = [l.data for l in leaves]
         self._leaf_shapes = [l.data.shape for l in leaves]
         self.n_ops = sum(1 for n in order if n._parents)
         self.buffer_bytes = sum(n.data.nbytes for n in order) + sum(
-            b.nbytes for b in self._gradbufs
+            b.nbytes for b in self._gradbufs if b is not None
         )
+
+    def read_aux(self) -> List[np.ndarray]:
+        """Copies of the auxiliary outputs as of the last replay."""
+        return [np.array(b) for b in self._aux_bufs]
 
     # ------------------------------------------------------------------
     def replay(
@@ -410,6 +464,33 @@ class CompiledProgram:
         return float(self._root_data), grads
 
 
+def _joint_steps(joint: Callable, ks: Sequence[int]) -> List[Callable]:
+    """Per-parent backward steps for a node with a joint VJP.
+
+    The replay schedule keeps one ``(vjp, parent buffer)`` step per edge;
+    for a joint node the first step runs the sweep and keeps its result,
+    and each step hands out its own parent's slot ``k`` — the last one
+    drops the kept result.  The sweep therefore runs once per node and
+    replay, and the accumulation order matches the eager backward.
+    """
+    if len(ks) <= 1:
+        return [lambda g, k=k: joint(g)[k] for k in ks]
+    memo: list = [None]
+
+    def head(g, k=ks[0]):
+        memo[0] = out = joint(g)
+        return out[k]
+
+    def middle(g, k):
+        return memo[0][k]
+
+    def tail(g, k=ks[-1]):
+        out, memo[0] = memo[0], None
+        return out[k]
+
+    return [head] + [lambda g, k=k: middle(g, k) for k in ks[1:-1]] + [tail]
+
+
 # ----------------------------------------------------------------------
 # Cache keys
 # ----------------------------------------------------------------------
@@ -441,6 +522,7 @@ def _validate(
     inputs: Sequence[np.ndarray],
     value: float,
     grads: Sequence[np.ndarray],
+    aux: Sequence[np.ndarray] = (),
 ) -> bool:
     """Cross-check one replay against the eager trace results."""
     try:
@@ -449,7 +531,7 @@ def _validate(
         return False
     if not np.allclose(v2, value, rtol=1e-12, atol=1e-300, equal_nan=True):
         return False
-    for a, b in zip(grads, g2):
+    for a, b in zip(list(grads) + list(aux), list(g2) + program.read_aux()):
         if not np.allclose(a, b, rtol=1e-12, atol=1e-300, equal_nan=True):
             return False
     return True
@@ -462,17 +544,22 @@ def _build_entry(
     value: float,
     grads: Sequence[np.ndarray],
     prof: Optional[ReplayProfile],
+    wrt: Optional[Sequence[bool]] = None,
+    aux: Sequence[Any] = (),
 ) -> Optional[CompiledProgram]:
     """Build the cache entry for a fresh trace.
 
     The program is validated against the eager results before it is
     cached; an unreplayable op or a validation failure caches ``None``,
-    which keeps this signature on the eager tape permanently.
+    which keeps this signature on the eager tape permanently.  ``aux``
+    holds the trace's auxiliary output tensors (see
+    :class:`CompiledProgram`).
     """
-    prog = CompiledProgram(out_t, leaves)
+    prog = CompiledProgram(out_t, leaves, wrt=wrt, aux=aux)
     if not prog.replayable:
         return None
-    if not _validate(prog, inputs, value, grads):
+    aux_values = [np.array(asdata(t)) for t in aux]
+    if not _validate(prog, inputs, value, grads, aux_values):
         warnings.warn(
             "compiled replay failed validation; falling back to "
             "the eager tape for this signature",
@@ -578,15 +665,27 @@ def compiled_value_and_grad(
 
 
 def compiled_value_and_grad_tree(
-    f: Callable[..., Any], profile: bool = False
-) -> Callable[..., Tuple[float, Any]]:
+    f: Callable[..., Any],
+    profile: bool = False,
+    has_aux: bool = False,
+    wrt: Optional[Sequence[str]] = None,
+) -> Callable[..., Tuple[Any, Any]]:
     """Trace-once counterpart of :func:`repro.nn.pytree.value_and_grad_tree`.
 
     ``f(params, *rest)`` takes a parameter pytree; the wrapper differentiates
-    every leaf.  Used by the PINN training loops, where the loss graph
-    topology is identical across all epochs.
+    every leaf, or with ``wrt`` only the leaves under those top-level keys
+    of a dict pytree.  Used by the PINN training loops, where the loss
+    graph topology is identical across all epochs.
+
+    With ``wrt`` the trace still records every leaf, so the other leaves
+    are replayed as inputs (never baked in as constants) while the
+    backward schedule visits only what reaches the selected leaves; their
+    gradients come back as zeros.  With ``has_aux`` ``f`` returns
+    ``(loss, aux)``, ``aux`` a pytree of tensors the loss already computes,
+    and the wrapper returns ``((value, aux_values), grads)`` — on replay
+    the values are read from the refreshed node buffers.
     """
-    from repro.nn.pytree import tree_flatten, tree_unflatten
+    from repro.nn.pytree import split_aux, tree_flatten, tree_unflatten, wrt_mask
 
     cache: Dict[Any, Optional[CompiledProgram]] = {}
     prof = ReplayProfile() if profile else None
@@ -594,19 +693,27 @@ def compiled_value_and_grad_tree(
 
     def _eager(params, args, kwargs):
         leaves, treedef = tree_flatten(params)
+        mask = wrt_mask(params, wrt)
         leaf_tensors = [Tensor(asdata(x), requires_grad=True) for x in leaves]
-        out = f(tree_unflatten(treedef, leaf_tensors), *args, **kwargs)
+        out, aux = split_aux(f(tree_unflatten(treedef, leaf_tensors), *args, **kwargs), has_aux)
         out_t = out if isinstance(out, Tensor) else Tensor(out)
         if out_t.size != 1:
             raise ValueError("compiled_value_and_grad_tree requires a scalar output")
-        out_t.backward()
+        active = [t for t, m in zip(leaf_tensors, mask) if m]
+        out_t.backward(inputs=None if wrt is None else active)
         grads = [
             t.grad if t.grad is not None else np.zeros_like(t.data)
             for t in leaf_tensors
         ]
-        return float(out_t.data), grads, out_t, leaf_tensors, treedef
+        aux_leaves, aux_def = tree_flatten(aux)
+        return float(out_t.data), grads, out_t, leaf_tensors, mask, aux_leaves, aux_def
 
-    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[float, Any]:
+    def _result(value, aux_values, aux_def, treedef, grads):
+        if has_aux:
+            value = (value, tree_unflatten(aux_def, aux_values))
+        return value, tree_unflatten(treedef, grads)
+
+    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[Any, Any]:
         leaves, treedef = tree_flatten(params)
         key = (
             repr(treedef),
@@ -620,20 +727,26 @@ def compiled_value_and_grad_tree(
             inputs = [np.asarray(asdata(l), dtype=np.float64) for l in leaves]
             value, grad_list = program.replay(inputs, prof)
             _bump(counters, "replays")
-            return value, tree_unflatten(treedef, grad_list)
+            return _result(value, program.read_aux(), program.aux_def, treedef, grad_list)
 
         t0 = time.perf_counter()
-        value, grads, out_t, leaf_tensors, treedef = _eager(params, args, kwargs)
+        value, grads, out_t, leaf_tensors, mask, aux_leaves, aux_def = _eager(
+            params, args, kwargs
+        )
         if program is _MISSING:
             _bump(counters, "traces")
-            cache[key] = _build_entry(
+            program = cache[key] = _build_entry(
                 out_t,
                 leaf_tensors,
                 [t.data.copy() for t in leaf_tensors],
                 value,
                 grads,
                 prof,
+                wrt=None if wrt is None else mask,
+                aux=aux_leaves,
             )
+            if program is not None:
+                program.aux_def = aux_def
             if prof is not None:
                 prof.n_traces += 1
                 prof.trace_seconds += time.perf_counter() - t0
@@ -641,7 +754,8 @@ def compiled_value_and_grad_tree(
             _bump(counters, "eager")
             if prof is not None:
                 prof.n_eager_calls += 1
-        return value, tree_unflatten(treedef, grads)
+        aux_values = [np.array(asdata(a)) for a in aux_leaves]
+        return _result(value, aux_values, aux_def, treedef, grads)
 
     wrapped.profile = prof
     wrapped.cache_info = lambda: {

@@ -161,8 +161,11 @@ def solve_row_affine(
         \\bar s_k = -\\textstyle\\sum_{\\text{cols}} W \\odot (D_k X),
 
     the restriction of the dense ``Ā = −W Xᵀ`` to the row scalings, so
-    no ``(n, n)`` cotangent is formed.  Replay refactorises only when
-    some ``s_k`` is on the tape, the rule :func:`solve` uses for ``A``.
+    no ``(n, n)`` cotangent is formed.  The node's joint VJP solves for
+    ``W`` once and hands it to every parent (one ``getrs`` per backward,
+    not one per parent).  Replay refactorises only when some ``s_k`` is
+    on the tape, the rule :func:`solve` uses for ``A``, and recomputes
+    ``W`` on every replayed backward.
     """
     A0 = np.asarray(A0, dtype=np.float64)
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
@@ -192,25 +195,27 @@ def solve_row_affine(
 
     refactor()
     X = np.asarray(sla.lu_solve(holder[0], Bd, check_finite=False))
-    s_on_tape = any(t.needs_tape() for t, _ in pairs)
+    scaled = [(t, D) for t, D in pairs if t.needs_tape()]
+    b_on_tape = tB.needs_tape()
 
-    def vjp_B(g: np.ndarray) -> np.ndarray:
-        return solve_T(g)
-
-    def vjp_s(D: np.ndarray):
-        def vjp(g: np.ndarray) -> np.ndarray:
-            WDX = solve_T(g) * (D @ X)
-            return -WDX if X.ndim == 1 else -np.sum(WDX, axis=1)
-
-        return vjp
+    def vjp(g: np.ndarray) -> list:
+        # One adjoint solve W = A^{-T} X̄, shared by every parent.
+        W = solve_T(g)
+        out = []
+        for _, D in scaled:
+            WDX = W * (D @ X)
+            out.append(-WDX if X.ndim == 1 else -np.sum(WDX, axis=1))
+        if b_on_tape:
+            out.append(W)
+        return out
 
     def fwd(o: np.ndarray) -> None:
-        if s_on_tape:
+        if scaled:
             refactor()
         o[...] = sla.lu_solve(holder[0], Bd, check_finite=False)
 
-    parents = [(t, vjp_s(D)) for t, D in pairs] + [(tB, vjp_B)]
-    return make_node(X, parents, "solve_row_affine", fwd=fwd)
+    parents = [(t, None) for t, _ in scaled] + ([(tB, None)] if b_on_tape else [])
+    return make_node(X, parents, "solve_row_affine", fwd=fwd, vjp=vjp)
 
 
 class LUSolver:

@@ -547,9 +547,8 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
 
     Supports the 1-D/2-D combinations used by the solver (matrix@vector,
     matrix@matrix, vector@matrix, vector@vector) plus *stacked* operands
-    on either side — e.g. ``(s, m, k) @ (k, n)`` from the batched PINN
-    derivative propagation, or the fully batched combinations emitted by
-    the :mod:`~repro.autodiff.batching` rules.  Cotangents into operands
+    on either side — e.g. ``(s, m, k) @ (k, n)``, or the fully batched
+    combinations emitted by the :mod:`~repro.autodiff.batching` rules.  Cotangents into operands
     that broadcast over stacked axes are reduced with ``unbroadcast``
     (a no-op returning the same array when shapes already match, so the
     historical 1-D/2-D paths are bit-identical to before).

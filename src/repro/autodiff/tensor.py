@@ -3,7 +3,10 @@
 A :class:`Tensor` wraps a ``numpy.ndarray`` together with the bookkeeping
 needed to replay the chain rule backwards: the list of parent tensors and,
 for each parent, a *vector-Jacobian product* (VJP) closure mapping the
-cotangent of this node to the cotangent contribution of that parent.
+cotangent of this node to the cotangent contribution of that parent.  A
+node may instead carry one *joint* VJP that returns the cotangents of all
+its parents at once, for primitives whose per-parent VJPs would repeat a
+shared reverse sweep (a fused network evaluation, a row-affine solve).
 
 The tape is built dynamically as operations execute (define-by-run, like
 JAX's tracing of a single evaluation or PyTorch's eager autograd).  Calling
@@ -20,6 +23,8 @@ Design notes
   retained until backward, which is exactly the memory-vs-accuracy trade-off
   Table 3 reports.
 * Broadcasting is handled generically by :func:`unbroadcast`.
+* ``backward(inputs=...)`` differentiates with respect to a subset of the
+  leaves only: edges into subgraphs that reach none of them are skipped.
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ class Tensor:
         Internal — primitive name, for debugging and graph inspection.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_fwd")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_fwd", "_vjp")
 
     # Make NumPy defer ``ndarray <op> Tensor`` to the Tensor's reflected
     # operators instead of trying elementwise object coercion.
@@ -124,6 +129,7 @@ class Tensor:
         parents: Optional[List[Tuple["Tensor", Callable[[np.ndarray], np.ndarray]]]] = None,
         op: str = "leaf",
         fwd: Optional[Callable[[np.ndarray], None]] = None,
+        vjp: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None,
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
@@ -139,6 +145,9 @@ class Tensor:
         # parent buffer and needs no recomputation.  Only consulted by the
         # compiled replay engine (:mod:`repro.autodiff.compile`).
         self._fwd = fwd
+        # Joint VJP: when set, ``_vjp(g)`` returns one cotangent per entry
+        # of ``_parents`` (whose per-parent VJP slots are then ``None``).
+        self._vjp = vjp
 
     # ------------------------------------------------------------------
     # Introspection
@@ -199,7 +208,11 @@ class Tensor:
     # ------------------------------------------------------------------
     # Backward pass
     # ------------------------------------------------------------------
-    def backward(self, cotangent: Optional[np.ndarray] = None) -> None:
+    def backward(
+        self,
+        cotangent: Optional[np.ndarray] = None,
+        inputs: Optional[Sequence["Tensor"]] = None,
+    ) -> None:
         """Run reverse-mode accumulation from this node.
 
         Parameters
@@ -207,6 +220,12 @@ class Tensor:
         cotangent:
             Seed cotangent; defaults to ``1.0`` which requires this tensor
             to be scalar (the usual ``grad``-of-a-loss case).
+        inputs:
+            Optional leaves to differentiate with respect to.  Only edges
+            into nodes that reach one of them are visited, so a subgraph
+            that feeds none of them costs no VJP; the cotangents that do
+            reach ``inputs`` are unchanged, bit for bit.  ``None``
+            differentiates every ``requires_grad`` leaf.
         """
         if cotangent is None:
             if self.data.size != 1:
@@ -220,6 +239,7 @@ class Tensor:
             cotangent = np.broadcast_to(cotangent, self.data.shape).copy()
 
         order = _topological_order(self)
+        live = None if inputs is None else reaching(order, inputs)
         grads: dict[int, np.ndarray] = {id(self): cotangent}
         for node in order:
             g = grads.pop(id(node), None)
@@ -227,10 +247,15 @@ class Tensor:
                 continue
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
-            for parent, vjp in node._parents:
+            if live is not None and id(node) not in live:
+                continue
+            joint = node._vjp(g) if node._vjp is not None else None
+            for k, (parent, vjp) in enumerate(node._parents):
                 if not parent.needs_tape():
                     continue
-                contrib = vjp(g)
+                if live is not None and id(parent) not in live:
+                    continue
+                contrib = joint[k] if joint is not None else vjp(g)
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + contrib
@@ -379,6 +404,20 @@ def _topological_order(root: Tensor) -> List[Tensor]:
     return order
 
 
+def reaching(order: Sequence[Tensor], inputs: Sequence[Tensor]) -> set:
+    """Ids of the nodes in ``order`` from which some tensor of ``inputs``
+    can be reached through parent edges (the inputs included).
+
+    ``order`` is a :func:`_topological_order` (root first), so walking it
+    backwards visits every parent before its children.
+    """
+    live = {id(t) for t in inputs}
+    for node in reversed(order):
+        if id(node) not in live and any(id(p) in live for p, _ in node._parents):
+            live.add(id(node))
+    return live
+
+
 def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
     """Create a leaf :class:`Tensor` (idempotent on existing tensors).
 
@@ -407,9 +446,10 @@ def asdata(x: ArrayLike) -> np.ndarray:
 
 def make_node(
     data: np.ndarray,
-    parents: Iterable[Tuple[Tensor, Callable[[np.ndarray], np.ndarray]]],
+    parents: Iterable[Tuple[Tensor, Optional[Callable[[np.ndarray], np.ndarray]]]],
     op: str,
     fwd: Optional[Callable[[np.ndarray], None]] = None,
+    vjp: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None,
 ) -> Tensor:
     """Create an interior tape node, respecting the global no-grad switch.
 
@@ -422,7 +462,17 @@ def make_node(
     re-executes the forward computation into a caller-supplied output
     buffer, so a recorded tape can be replayed without rebuilding any
     Tensor or closure objects.
+
+    ``vjp`` is an optional *joint* VJP: ``vjp(g)`` returns the cotangents
+    of every parent, in order, from one reverse sweep, and the per-parent
+    VJP slots are ignored.  Because pruning would misalign that list, a
+    primitive passing ``vjp`` must pass only parents that are on the tape.
     """
+    if vjp is not None:
+        parents = [(p, None) for p, _ in parents]
+        if not grad_enabled() or not parents:
+            return Tensor(data)
+        return Tensor(data, parents=parents, op=op, fwd=fwd, vjp=vjp)
     parents = [(p, v) for (p, v) in parents if p.needs_tape()]
     if not grad_enabled() or not parents:
         return Tensor(data)

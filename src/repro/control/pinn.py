@@ -23,7 +23,10 @@ line search**:
 
 Spatial derivatives inside the residuals come from
 :func:`repro.nn.derivatives.mlp_with_derivatives` (analytic propagation),
-so one reverse pass per step yields exact weight gradients.
+so one reverse pass per step yields exact weight gradients.  Each epoch
+does each piece of work once: the loss forward also returns the cost and
+residual the history trackers record (``loss_terms``), and an alternating
+epoch differentiates only the network it updates.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ class PINNTrainConfig:
     n_interior: int = 400
     n_boundary: int = 40
     alternating: bool = True
-    log_every: int = 0
     compile: bool = False
 
     def __post_init__(self) -> None:
@@ -119,14 +121,19 @@ def _train(
     params: Dict[str, Any],
     config: PINNTrainConfig,
     alternating_keys: Optional[Sequence[str]] = None,
-    trackers=(),
+    has_aux: bool = False,
     recorder=None,
 ) -> Tuple[Dict[str, Any], List[float], Dict[str, List[float]]]:
     """Generic Adam training loop over a dict-of-pytrees parameter set.
 
-    When ``alternating_keys`` is given, epoch ``t`` only applies the
-    update to key ``alternating_keys[t % len]`` (the Mowlavi & Nabi
-    alternating scheme); gradients for the frozen parts are discarded.
+    When ``alternating_keys`` is given, epoch ``t`` only updates key
+    ``alternating_keys[t % len]`` (the Mowlavi & Nabi alternating
+    scheme): the gradient is taken with respect to that key alone, the
+    frozen parts get zero gradients, and Adam still steps every key.
+
+    With ``has_aux`` ``loss_fn`` returns ``(loss, {name: value})``; the
+    named values, which the loss forward computes anyway, are recorded
+    per epoch in the returned ``tracked`` dict.
 
     ``recorder`` (a :class:`~repro.obs.recorder.TraceRecorder`, optional)
     receives one iteration record per epoch — loss as the cost, the
@@ -134,15 +141,16 @@ def _train(
     the scheduled step size, and grad/update phase seconds.  Falsy
     recorders cost one truth test per epoch.
     """
-    if config.compile:
-        vg = compiled_value_and_grad_tree(loss_fn)
+    make_vg = compiled_value_and_grad_tree if config.compile else value_and_grad_tree
+    if alternating_keys:
+        vgs = [make_vg(loss_fn, has_aux=has_aux, wrt=(k,)) for k in alternating_keys]
     else:
-        vg = value_and_grad_tree(loss_fn)
+        vgs = [make_vg(loss_fn, has_aux=has_aux)]
     opt = Adam(lr=config.lr)
     state = opt.init(params)
     schedule = paper_schedule(config.lr)
     history: List[float] = []
-    tracked: Dict[str, List[float]] = {name: [] for name, _ in trackers}
+    tracked: Dict[str, List[float]] = {}
     trace = recorder if recorder else None
     wd = current_watchdog()
     with Timer() as timer:
@@ -150,20 +158,16 @@ def _train(
             if trace is not None:
                 timer.mark()
             with _span("grad", "phase"):
-                val, grads = vg(params)
+                val, grads = vgs[epoch % len(vgs)](params)
+            if has_aux:
+                val, aux = val
+                for name, v in aux.items():
+                    tracked.setdefault(name, []).append(float(v))
             if trace is not None:
                 t_grad = timer.lap("grad")
             history.append(val)
-            with _span("eval", "phase"):
-                for name, fn in trackers:
-                    tracked[name].append(fn(params))
             lr = schedule(epoch, config.epochs)
             with _span("update", "phase"):
-                if alternating_keys:
-                    active = alternating_keys[epoch % len(alternating_keys)]
-                    for k in params:
-                        if k != active:
-                            grads[k] = _zeros_like_tree(grads[k])
                 params, state = opt.step(params, grads, state, lr=lr)
             if wd is not None or trace is not None:
                 gnorm = _tree_grad_norm(grads)
@@ -182,8 +186,19 @@ def _train(
     if trace is not None:
         trace.set_meta(epochs_run=config.epochs, train_wall_time_s=timer.elapsed)
         if config.compile:
-            record_compile_cache(trace, vg)
+            record_compile_cache(trace, _CacheSum(vgs))
     return params, history, tracked
+
+
+class _CacheSum:
+    """The summed ``cache_info()`` of several compiled wrappers."""
+
+    def __init__(self, vgs) -> None:
+        self._vgs = vgs
+
+    def cache_info(self) -> Dict[str, float]:
+        infos = [vg.cache_info() for vg in self._vgs]
+        return {k: sum(i[k] for i in infos) for k in ("traces", "replays", "eager")}
 
 
 def _train_batched(
@@ -193,7 +208,7 @@ def _train_batched(
     n: int,
     config: PINNTrainConfig,
     alternating_keys: Optional[Sequence[str]] = None,
-    trackers=(),
+    has_aux: bool = False,
 ) -> Tuple[Dict[str, Any], List[List[float]], Dict[str, List[List[float]]]]:
     """Adam loop over N stacked parameter sets via one ``vbatch`` trace.
 
@@ -202,72 +217,68 @@ def _train_batched(
     fleet trains in one stacked tensor program per epoch —
     ``backward(ones(n))`` seeds each slice with the same cotangent 1.0
     that N independent scalar backwards would, the Adam update and the
-    LR schedule are elementwise, and the alternating mask zeroes the same
-    keys in every slice, so slice ``i`` of every epoch is bitwise the
-    serial run for candidate ``i`` (the batching rules guarantee bitwise
-    per-slice forwards and parameter-side VJPs).
+    LR schedule are elementwise, and an alternating epoch differentiates
+    the same key in every slice, so slice ``i`` of every epoch is bitwise
+    the serial run for candidate ``i`` (the batching rules guarantee
+    bitwise per-slice forwards and parameter-side VJPs).
 
     ``extras`` are additional *batched* positional arguments for
     ``loss_fn`` (stacked along axis 0, not differentiated): the per-ω
     weight vector in step 1, the frozen per-ω control parameters in
-    step 2.  ``trackers`` map the stacked params to an ``(n,)`` float
-    array per epoch.  ``config.compile`` is ignored here — the batched
+    step 2.  With ``has_aux`` the loss also returns ``{name: (n,)}``
+    tracker values.  ``config.compile`` is ignored here — the batched
     trace is re-recorded each epoch (one stacked program is already far
     fewer Python dispatches than N eager tapes).
     """
     from repro.autodiff.batching import vbatch
     from repro.autodiff.tensor import Tensor, asdata
-    from repro.nn.pytree import tree_flatten, tree_unflatten
+    from repro.nn.pytree import split_aux, tree_flatten, tree_unflatten, wrt_mask
 
     bfn = vbatch(loss_fn, in_axes=(0,) * (1 + len(extras)))
     ones = np.ones(n)
 
-    def vg(ps):
-        leaves, treedef = tree_flatten(ps)
-        lts = [Tensor(asdata(x), requires_grad=True) for x in leaves]
-        out = bfn(tree_unflatten(treedef, lts), *extras)
-        out.backward(ones)
-        grads = tree_unflatten(
-            treedef,
-            [
-                t.grad if t.grad is not None else np.zeros_like(t.data)
-                for t in lts
-            ],
-        )
-        return np.asarray(out.data, dtype=np.float64).copy(), grads
+    def make_vg(wrt):
+        def vg(ps):
+            leaves, treedef = tree_flatten(ps)
+            lts = [
+                Tensor(asdata(x), requires_grad=m)
+                for x, m in zip(leaves, wrt_mask(ps, wrt))
+            ]
+            out, aux = split_aux(bfn(tree_unflatten(treedef, lts), *extras), has_aux)
+            out.backward(ones)
+            grads = tree_unflatten(
+                treedef,
+                [
+                    t.grad if t.grad is not None else np.zeros_like(t.data)
+                    for t in lts
+                ],
+            )
+            return np.asarray(out.data, dtype=np.float64).copy(), aux, grads
 
+        return vg
+
+    if alternating_keys:
+        vgs = [make_vg((k,)) for k in alternating_keys]
+    else:
+        vgs = [make_vg(None)]
     opt = Adam(lr=config.lr)
     state = opt.init(params_stack)
     schedule = paper_schedule(config.lr)
     histories: List[List[float]] = [[] for _ in range(n)]
-    tracked: Dict[str, List[List[float]]] = {
-        name: [[] for _ in range(n)] for name, _ in trackers
-    }
+    tracked: Dict[str, List[List[float]]] = {}
     for epoch in range(config.epochs):
         with _span("grad", "phase"):
-            vals, grads = vg(params_stack)
+            vals, aux, grads = vgs[epoch % len(vgs)](params_stack)
         for i in range(n):
             histories[i].append(float(vals[i]))
-        with _span("eval", "phase"):
-            for name, fn in trackers:
-                tv = fn(params_stack)
-                for i in range(n):
-                    tracked[name][i].append(float(tv[i]))
+        for name, tv in (aux or {}).items():
+            rows = tracked.setdefault(name, [[] for _ in range(n)])
+            for i in range(n):
+                rows[i].append(float(tv.data[i]))
         lr = schedule(epoch, config.epochs)
         with _span("update", "phase"):
-            if alternating_keys:
-                active = alternating_keys[epoch % len(alternating_keys)]
-                for k in params_stack:
-                    if k != active:
-                        grads[k] = _zeros_like_tree(grads[k])
             params_stack, state = opt.step(params_stack, grads, state, lr=lr)
     return params_stack, histories, tracked
-
-
-def _zeros_like_tree(tree):
-    from repro.nn.pytree import tree_map
-
-    return tree_map(lambda x: np.zeros_like(np.asarray(x)), tree)
 
 
 def _tree_grad_norm(tree) -> float:
@@ -280,6 +291,31 @@ def _tree_grad_norm(tree) -> float:
         a = np.asarray(leaf, dtype=np.float64).ravel()
         total += float(a @ a)
     return float(np.sqrt(total))
+
+
+def _train_pair(pinn, omega, config, seed, recorder) -> PINNRunResult:
+    """Line-search step 1 for either problem: alternating (or joint)
+    training of ``(u_θ, c_θ)`` on ``loss_terms``, whose cost and residual
+    terms fill the per-epoch histories."""
+    cfg = config or pinn.config
+    if recorder:
+        recorder.set_meta(omega=omega)
+    params, hist, tracked = _train(
+        lambda p: pinn.loss_terms(p, omega),
+        pinn.init_params(seed),
+        cfg,
+        alternating_keys=("u", "c") if cfg.alternating else None,
+        has_aux=True,
+        recorder=recorder,
+    )
+    return PINNRunResult(
+        omega=omega,
+        params_u=params["u"],
+        params_c=params["c"],
+        loss_history=hist,
+        cost_history=tracked["cost"],
+        residual_history=tracked["residual"],
+    )
 
 
 # ======================================================================
@@ -351,6 +387,14 @@ class LaplacePINN:
             + ops.mean(ops.square(u_t - c_t))
         )
 
+    def loss_terms(self, params: Dict[str, Any], omega: float) -> Tuple[Any, Dict[str, Any]]:
+        """The loss plus the ``cost`` J and ``residual`` L_F it is built
+        from, for the per-epoch history trackers."""
+        residual = self.residual_loss(params["u"])
+        boundary = self.boundary_loss(params["u"], params["c"])
+        cost = self.cost_objective(params["u"])
+        return residual + boundary + omega * cost, {"cost": cost, "residual": residual}
+
     def cost_objective(self, pu) -> Any:
         """``J = ∫ |∂u_θ/∂y(x,1) − cos πx|² dx`` by trapezoid quadrature."""
         _, du, _ = mlp_with_derivatives(self.net_u, pu, self.x_top, need_second=False)
@@ -359,11 +403,7 @@ class LaplacePINN:
 
     def loss(self, params: Dict[str, Any], omega: float) -> Any:
         """Full multi-objective loss ``L_F + L_B + ω J``."""
-        return (
-            self.residual_loss(params["u"])
-            + self.boundary_loss(params["u"], params["c"])
-            + omega * self.cost_objective(params["u"])
-        )
+        return self.loss_terms(params, omega)[0]
 
     # ------------------------------------------------------------------
     def train_pair(
@@ -374,30 +414,7 @@ class LaplacePINN:
         recorder=None,
     ) -> PINNRunResult:
         """Line-search step 1: alternating training of ``(u_θ, c_θ)``."""
-        cfg = config or self.config
-        params = self.init_params(seed)
-        trackers = (
-            ("cost", lambda p: float(self.cost_objective(p["u"]).data)),
-            ("residual", lambda p: float(self.residual_loss(p["u"]).data)),
-        )
-        if recorder:
-            recorder.set_meta(omega=omega)
-        params, hist, tracked = _train(
-            lambda p: self.loss(p, omega),
-            params,
-            cfg,
-            alternating_keys=("u", "c") if cfg.alternating else None,
-            trackers=trackers,
-            recorder=recorder,
-        )
-        return PINNRunResult(
-            omega=omega,
-            params_u=params["u"],
-            params_c=params["c"],
-            loss_history=hist,
-            cost_history=tracked["cost"],
-            residual_history=tracked["residual"],
-        )
+        return _train_pair(self, omega, config, seed, recorder)
 
     def retrain_state(
         self,
@@ -554,13 +571,16 @@ class NavierStokesPINN:
         dv = w[:, 1]
         return 0.5 * ops.sum_(self.out_quad * (ops.square(du) + ops.square(dv)))
 
+    def loss_terms(self, params: Dict[str, Any], omega: float) -> Tuple[Any, Dict[str, Any]]:
+        """The loss plus its ``cost`` and ``residual`` terms (trackers)."""
+        residual = self.residual_loss(params["u"])
+        boundary = self.boundary_loss(params["u"], params["c"])
+        cost = self.cost_objective(params["u"])
+        return residual + boundary + omega * cost, {"cost": cost, "residual": residual}
+
     def loss(self, params: Dict[str, Any], omega: float) -> Any:
         """Full multi-objective loss."""
-        return (
-            self.residual_loss(params["u"])
-            + self.boundary_loss(params["u"], params["c"])
-            + omega * self.cost_objective(params["u"])
-        )
+        return self.loss_terms(params, omega)[0]
 
     # ------------------------------------------------------------------
     def train_pair(
@@ -571,30 +591,7 @@ class NavierStokesPINN:
         recorder=None,
     ) -> PINNRunResult:
         """Line-search step 1 for the channel problem."""
-        cfg = config or self.config
-        params = self.init_params(seed)
-        trackers = (
-            ("cost", lambda p: float(self.cost_objective(p["u"]).data)),
-            ("residual", lambda p: float(self.residual_loss(p["u"]).data)),
-        )
-        if recorder:
-            recorder.set_meta(omega=omega)
-        params, hist, tracked = _train(
-            lambda p: self.loss(p, omega),
-            params,
-            cfg,
-            alternating_keys=("u", "c") if cfg.alternating else None,
-            trackers=trackers,
-            recorder=recorder,
-        )
-        return PINNRunResult(
-            omega=omega,
-            params_u=params["u"],
-            params_c=params["c"],
-            loss_history=hist,
-            cost_history=tracked["cost"],
-            residual_history=tracked["residual"],
-        )
+        return _train_pair(self, omega, config, seed, recorder)
 
     def retrain_state(
         self,
@@ -682,8 +679,6 @@ def _omega_batch_task(pinn, omegas, cfg1, cfg2, seeds, want_trace):
     signature parity with ``_omega_task``; batched training emits
     profiler spans but no per-epoch trace records.
     """
-    from repro.autodiff.batching import vbatch
-
     n = len(omegas)
     om = np.asarray([float(o) for o in omegas], dtype=np.float64)
     stacked = _stack_trees(
@@ -695,21 +690,15 @@ def _omega_batch_task(pinn, omegas, cfg1, cfg2, seeds, want_trace):
             for s in seeds
         ]
     )
-    cost_fn = vbatch(lambda p: pinn.cost_objective(p["u"]))
-    res_fn = vbatch(lambda p: pinn.residual_loss(p["u"]))
-    trackers = (
-        ("cost", lambda ps: np.asarray(cost_fn(ps).data, dtype=np.float64)),
-        ("residual", lambda ps: np.asarray(res_fn(ps).data, dtype=np.float64)),
-    )
     with _span("pinn.train_pair_batched", "method", {"n_omega": n}):
         stacked, hists, tracked = _train_batched(
-            pinn.loss,
+            pinn.loss_terms,
             (om,),
             stacked,
             n,
             cfg1,
             alternating_keys=("u", "c") if cfg1.alternating else None,
-            trackers=trackers,
+            has_aux=True,
         )
 
     def retrain_loss(p, pc):

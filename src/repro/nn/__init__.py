@@ -7,9 +7,9 @@ Provides the pieces the paper's PINN implementation needs:
 - :mod:`repro.nn.mlp` — multilayer perceptrons (the paper's 3×30 and 5×50
   tanh networks).
 - :mod:`repro.nn.derivatives` — analytic propagation of first and second
-  input-derivatives through an MLP, built from autodiff primitives so the
-  weight-gradient of a PDE residual comes out of a single reverse pass
-  (substitute for JAX's nested ``grad``).
+  input-derivatives through an MLP as one tape node with a hand-written
+  reverse sweep, so the weight-gradient of a PDE residual comes out of a
+  single reverse pass (substitute for JAX's nested ``grad``).
 - :mod:`repro.nn.optimizers` — SGD and Adam on pytrees of parameters.
 - :mod:`repro.nn.schedules` — the paper's piecewise-constant learning-rate
   schedule (÷10 at 50 % completion, ÷10 again at 75 %).

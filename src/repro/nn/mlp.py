@@ -13,9 +13,9 @@ from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
-from repro.autodiff import ops
-from repro.autodiff.tensor import ArrayLike, Tensor, tensor
+from repro.autodiff.tensor import ArrayLike, Tensor
 from repro.nn.activations import get_activation
+from repro.nn.derivatives import flat_weights, mlp_eval
 from repro.nn.init import INITIALIZERS
 
 
@@ -83,14 +83,10 @@ class MLP:
         """Forward pass; ``x`` has shape ``(batch, in_dim)``.
 
         ``params`` may hold raw arrays (inference) or tape tensors
-        (training); the same code path serves both.
+        (training); the same code path serves both.  The evaluation is
+        one :func:`~repro.nn.derivatives.mlp_eval` tape node.
         """
-        a = tensor(x)
-        last = self.n_layers - 1
-        for i, layer in enumerate(params):
-            z = ops.matmul(a, layer["W"]) + layer["b"]
-            a = self.activation.f(z) if i < last else z
-        return a
+        return mlp_eval(x, flat_weights(params), self.activation, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         arch = "x".join(str(w) for w in self.widths)

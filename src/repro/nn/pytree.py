@@ -8,7 +8,7 @@ arguments via :func:`value_and_grad_tree`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,22 +86,59 @@ def tree_zip_map(f: Callable[..., Any], *trees: Any) -> Any:
     return tree_unflatten(treedef, zipped)
 
 
+def wrt_mask(params: Any, wrt: Optional[Sequence[str]]) -> List[bool]:
+    """One flag per leaf of ``params`` (in :func:`tree_flatten` order):
+    True for the leaves under the top-level dict keys in ``wrt``, every
+    leaf when ``wrt`` is None."""
+    if wrt is None:
+        return [True] * len(tree_leaves(params))
+    if not isinstance(params, dict):
+        raise TypeError("wrt selects top-level keys of a dict parameter pytree")
+    missing = sorted(set(wrt) - set(params))
+    if missing:
+        raise KeyError(f"wrt names keys {missing} absent from the parameters")
+    return tree_leaves(
+        {k: tree_map(lambda _, on=(k in wrt): on, v) for k, v in params.items()}
+    )
+
+
+def split_aux(out: Any, has_aux: bool) -> Tuple[Any, Any]:
+    """``(loss, aux)`` from a loss function's return value."""
+    if not has_aux:
+        return out, None
+    if not (isinstance(out, (tuple, list)) and len(out) == 2):
+        raise ValueError("has_aux=True needs the function to return (loss, aux)")
+    return out[0], out[1]
+
+
 def value_and_grad_tree(
     f: Callable[..., Any],
-) -> Callable[..., Tuple[float, Any]]:
+    has_aux: bool = False,
+    wrt: Optional[Sequence[str]] = None,
+) -> Callable[..., Tuple[Any, Any]]:
     """``value_and_grad`` where the *first* argument is a parameter pytree.
 
     ``f(params, *rest)`` must return a scalar; the transform returns
     ``(value, grads)`` with ``grads`` a pytree of the same structure holding
     ``numpy`` arrays.  Remaining positional arguments are passed through
     unchanged (not differentiated).
+
+    ``wrt`` names the top-level keys of a dict pytree to differentiate;
+    the other leaves enter ``f`` as constants, so nothing that depends
+    only on them is put on the tape, and their gradients are zeros.  With
+    ``has_aux`` ``f`` returns ``(loss, aux)``, ``aux`` a pytree of values
+    the loss forward already computed, and the transform returns
+    ``((value, aux_values), grads)`` (JAX's convention).
     """
 
-    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[float, Any]:
+    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[Any, Any]:
         leaves, treedef = tree_flatten(params)
-        leaf_tensors = [Tensor(asdata(x), requires_grad=True) for x in leaves]
+        leaf_tensors = [
+            Tensor(asdata(x), requires_grad=m)
+            for x, m in zip(leaves, wrt_mask(params, wrt))
+        ]
         wrapped_params = tree_unflatten(treedef, leaf_tensors)
-        out = f(wrapped_params, *args, **kwargs)
+        out, aux = split_aux(f(wrapped_params, *args, **kwargs), has_aux)
         out_t = out if isinstance(out, Tensor) else Tensor(out)
         if out_t.size != 1:
             raise ValueError("value_and_grad_tree requires a scalar output")
@@ -113,7 +150,10 @@ def value_and_grad_tree(
                 for t in leaf_tensors
             ],
         )
-        return float(out_t.data), grads
+        value = float(out_t.data)
+        if has_aux:
+            value = (value, tree_map(lambda a: np.array(asdata(a)), aux))
+        return value, grads
 
     return wrapped
 

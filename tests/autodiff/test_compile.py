@@ -25,6 +25,7 @@ from repro.autodiff.sparse import sparse_pattern_solve
 from repro.autodiff.tensor import Tensor, asdata
 from repro.cloud.square import SquareCloud
 from repro.control.dp import LaplaceDP
+from repro.nn.derivatives import flat_weights, mlp_eval
 from repro.nn.mlp import MLP
 from repro.nn.pytree import tree_flatten, value_and_grad_tree
 from repro.pde.laplace import LaplaceControlProblem
@@ -223,7 +224,29 @@ def _lu_solver_program():
     return loss, (np.linspace(0.1, 1.0, 5),), 0
 
 
+def _mlp_program():
+    """Fused network nodes at every order: replay refreshes the cached
+    layer intermediates its joint VJP reads."""
+    rng = np.random.default_rng(10)
+    net = MLP(2, (6, 5), 2)
+    X = rng.uniform(-1, 1, (9, 2))
+    ws = [w + 0.1 * rng.standard_normal(w.shape) for w in flat_weights(net.init_params(3))]
+
+    def loss(*ws):
+        Y2 = mlp_eval(X, ws, net.activation, 2)
+        Y1 = mlp_eval(X[:4], ws, net.activation, 1)
+        u0 = mlp_eval(X[5:], ws, net.activation, 0)
+        return (
+            ops.sum_(ops.square(Y2[3] + Y2[4]))
+            + ops.mean(ops.square(Y2[0][:4] * Y1[1]))
+            + ops.sum_(ops.sin(u0))
+        )
+
+    return loss, tuple(ws), tuple(range(len(ws)))
+
+
 REPLAY_PROGRAMS = {
+    "mlp": _mlp_program,
     **{
         f"matmul:{sa}@{sb}": (lambda sa=sa, sb=sb: _matmul_program(sa, sb))
         for sa, sb in STACKED_MATMUL_SHAPES
@@ -288,6 +311,99 @@ def test_replay_matches_eager_on_conformance_case(batch_case):
             )
     info = comp.cache_info()
     assert info["programs"] == 1 and info["replays"] == 2, case.label
+
+
+def _pinn_pair():
+    from repro.control.pinn import LaplacePINN, PINNTrainConfig
+
+    cfg = PINNTrainConfig(epochs=1, n_interior=30, n_boundary=8)
+    pinn = LaplacePINN(
+        LaplaceControlProblem(SquareCloud(8)), state_hidden=(7, 7),
+        control_hidden=(5,), config=cfg,
+    )
+    return pinn, pinn.init_params(0)
+
+
+def _perturbed(params, rng, keys):
+    return {
+        k: [
+            {n: a + (0.05 * rng.standard_normal(a.shape) if k in keys else 0.0)
+             for n, a in layer.items()}
+            for layer in v
+        ]
+        for k, v in params.items()
+    }
+
+
+@pytest.mark.parametrize("wrt", [None, ("u",), ("c",)])
+def test_tree_replay_with_aux_and_wrt_bitwise_matches_eager(wrt):
+    """Replay of a loss with auxiliary outputs, differentiated w.r.t. one
+    network: values, aux values and gradients equal the eager tape, and a
+    change to the *frozen* network's parameters shows in the replayed
+    value (its leaves are replay inputs, not baked constants)."""
+    pinn, params = _pinn_pair()
+
+    def loss(p):
+        return pinn.loss_terms(p, 0.5)
+
+    eager = value_and_grad_tree(loss, has_aux=True, wrt=wrt)
+    comp = compiled_value_and_grad_tree(loss, has_aux=True, wrt=wrt)
+    rng = np.random.default_rng(11)
+    values = []
+    for k in range(4):
+        (ve, ae), ge = eager(params)
+        (vc, ac), gc = comp(params)
+        assert vc == ve
+        assert set(ac) == {"cost", "residual"}
+        for name in ac:
+            assert np.array_equal(ac[name], ae[name]), name
+        for key in params:
+            for a, b in zip(tree_flatten(gc[key])[0], tree_flatten(ge[key])[0]):
+                assert np.array_equal(a, b), key
+                if wrt is not None and key not in wrt:
+                    assert not np.any(a), key
+        values.append(vc)
+        # Alternate which network moves: the frozen one too.
+        params = _perturbed(params, rng, ("u",) if k % 2 else ("c",))
+    assert len(set(values)) == len(values)
+    info = comp.cache_info()
+    assert info["programs"] == 1 and info["replays"] == 3
+
+
+def test_wrt_gradient_equals_full_backward_slice():
+    """Differentiating one network alone gives bitwise the gradient the
+    full backward gives that network, in both tiers."""
+    pinn, params = _pinn_pair()
+
+    def loss(p):
+        return pinn.loss(p, 2.0)
+
+    _, full = value_and_grad_tree(loss)(params)
+    for key in ("u", "c"):
+        for make in (value_and_grad_tree, compiled_value_and_grad_tree):
+            vg = make(loss, wrt=(key,))
+            for _ in range(2):  # trace, then replay
+                _, g = vg(params)
+                for a, b in zip(tree_flatten(g[key])[0], tree_flatten(full[key])[0]):
+                    assert np.array_equal(a, b), key
+                other = "c" if key == "u" else "u"
+                assert all(not np.any(a) for a in tree_flatten(g[other])[0])
+
+
+def test_aux_must_be_a_program_node():
+    """An auxiliary output the root does not depend on cannot be
+    refreshed by replay: the signature stays on the eager tape."""
+
+    def loss(p):
+        w = p["w"]
+        return ops.sum_(ops.square(w)), {"side": ops.sum_(ops.exp(p["v"]))}
+
+    comp = compiled_value_and_grad_tree(loss, has_aux=True)
+    for k in range(3):
+        p = {"w": np.full(3, 1.0 + k), "v": np.full(2, 0.5 * k)}
+        (v, aux), _ = comp(p)
+        assert float(aux["side"]) == float(np.sum(np.exp(p["v"])))
+    assert comp.cache_info()["programs"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -162,6 +162,22 @@ class TestSolveRowAffine:
         X = solve_row_affine(A, ((self.S1, self.D1),), b)
         assert [p is b for p, _ in X._parents] == [True]
 
+    def test_one_adjoint_solve_per_backward(self, monkeypatch):
+        """The joint VJP solves Aᵀ W = X̄ once for all three parents."""
+        import scipy.linalg as sla
+
+        s1 = tensor(self.S1, requires_grad=True)
+        s2 = tensor(self.S2, requires_grad=True)
+        b = tensor(B2, requires_grad=True)
+        X = solve_row_affine(A, ((s1, self.D1), (s2, self.D2)), b)
+        loss = ops.sum_(ops.square(X))
+        calls = []
+        real = sla.lu_solve
+        monkeypatch.setattr(sla, "lu_solve", lambda *a, **k: calls.append(k) or real(*a, **k))
+        loss.backward()
+        assert [k.get("trans") for k in calls] == [1]
+        assert s1.grad is not None and s2.grad is not None and b.grad is not None
+
     def test_rejects_mismatched_term(self):
         with pytest.raises(ValueError, match="row-affine term"):
             solve_row_affine(A, ((np.ones(N + 1), self.D1),), B)

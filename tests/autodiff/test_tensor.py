@@ -180,3 +180,55 @@ class TestUnbroadcast:
         out = unbroadcast(g, ())
         assert out.shape == ()
         assert out == 25.0
+
+
+class TestJointVJPAndInputs:
+    """A node-level joint VJP runs once per backward, and ``inputs``
+    restricts the backward to what reaches the given leaves."""
+
+    @staticmethod
+    def _joint_node(a, b, calls):
+        from repro.autodiff.tensor import make_node
+
+        def vjp(g):
+            calls.append(1)
+            return [g * b.data, g * a.data]
+
+        return make_node(a.data * b.data, [(a, None), (b, None)], "jmul", vjp=vjp)
+
+    def test_joint_vjp_runs_once_for_all_parents(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 5.0], requires_grad=True)
+        calls = []
+        ops.sum_(self._joint_node(a, b, calls)).backward()
+        assert calls == [1]
+        assert np.array_equal(a.grad, [3.0, 5.0])
+        assert np.array_equal(b.grad, [1.0, 2.0])
+
+    def test_joint_node_without_parents_or_grad_is_a_constant(self):
+        from repro.autodiff.tensor import make_node
+
+        def vjp(g):
+            raise AssertionError("never called")
+
+        assert make_node(np.ones(2), [], "jmul", vjp=vjp)._op == "leaf"
+        a = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            assert make_node(np.ones(1), [(a, None)], "jmul", vjp=vjp)._op == "leaf"
+
+    def test_inputs_restrict_backward_bitwise(self):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.standard_normal(4), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+
+        def loss():
+            return ops.sum_(ops.sin(a) * ops.exp(b)) + ops.sum_(ops.square(ops.tanh(b)))
+
+        loss().backward()
+        full_a = a.grad
+        a.zero_grad()
+        b.zero_grad()
+        out = loss()
+        out.backward(inputs=[a])
+        assert np.array_equal(a.grad, full_a)
+        assert b.grad is None

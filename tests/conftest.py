@@ -459,6 +459,43 @@ def _build_batching_cases():
         (None, None, None, None, 0), (False, False, False, True, True),
         compileable=False,
     )
+
+    # --- fused network evaluation (stacked parameter sets) -------------
+    from repro.nn.activations import get_activation
+    from repro.nn.derivatives import mlp_eval
+
+    widths = (2, 5, 4, 3)
+
+    def mlp_args(rng, n, batched=(True,) * 6, batch_x=False):
+        shapes = []
+        for i, o in zip(widths[:-1], widths[1:]):
+            shapes += [(i, o), (o,)]
+        ws = [
+            rng.uniform(-1, 1, ((n,) + s) if b else s)
+            for s, b in zip(shapes, batched)
+        ]
+        x = rng.uniform(-1, 1, ((n, 7, 2) if batch_x else (7, 2)))
+        return [x] + ws
+
+    def mlp_fn(order, act="tanh"):
+        return lambda x, *ws: mlp_eval(x, ws, get_activation(act), order)
+
+    for order in (0, 1, 2):
+        add(
+            f"mlp:order{order}", "mlp", mlp_fn(order),
+            lambda rng, n: mlp_args(rng, n),
+            (None,) + (0,) * 6, (True,) * 7,
+        )
+    add(  # one layer's weights shared by every item: expanded on the tape
+        "mlp:shared_layer", "mlp", mlp_fn(2, "sigmoid"),
+        lambda rng, n: mlp_args(rng, n, batched=(True, True, False, False, True, True)),
+        (None, 0, 0, None, None, 0, 0), (True,) * 7,
+    )
+    add(  # batched evaluation points take the loop
+        "mlp:batched_x", "mlp", mlp_fn(1, "sin"),
+        lambda rng, n: mlp_args(rng, n, batched=(False,) * 6, batch_x=True),
+        (0,) + (None,) * 6, (True,) * 7,
+    )
     return C
 
 

@@ -352,9 +352,156 @@ class TestNavierStokesPINN:
         assert hist[-1] < hist[0]
         assert np.isfinite(ns_pinn.evaluate_cost(pu))
 
+    def test_batched_line_search_bitwise_equal_serial(self, channel_problem):
+        """Three-output state net, NS loss terms and trackers through the
+        stacked program: slice for slice the serial search."""
+        cfg = PINNTrainConfig(epochs=8, lr=2e-3, n_interior=40, n_boundary=10, seed=0)
+
+        def pinn():
+            return NavierStokesPINN(
+                channel_problem,
+                ns_config=NSConfig(reynolds=100.0, refinements=5, pseudo_dt=0.5),
+                state_hidden=(8, 8), control_hidden=(5,), config=cfg,
+            )
+
+        serial = omega_line_search(pinn(), [0.1, 10.0])
+        batched = omega_line_search(pinn(), [0.1, 10.0], batch=True)
+        assert batched.step2_costs == serial.step2_costs
+        for a, b in zip(serial.step1, batched.step1):
+            assert b.loss_history == a.loss_history
+            assert b.cost_history == a.cost_history
+            assert b.residual_history == a.residual_history
+
     def test_blowing_data_nonzero_on_segment(self, ns_pinn, channel_problem):
         geo = channel_problem.geometry
         xb = ns_pinn.x_bot[:, 0]
         on = (xb > geo.seg_lo) & (xb < geo.seg_hi)
         assert np.all(ns_pinn.v_bot_data[on] > 0)
         assert np.all(ns_pinn.v_bot_data[~on] == 0)
+
+
+class TestEpochWork:
+    """Each epoch does each piece of work once: the trackers read the
+    cost and residual the loss forward computed, and an alternating epoch
+    differentiates only the network it updates."""
+
+    CFG = PINNTrainConfig(epochs=6, lr=2e-3, n_interior=40, n_boundary=10, seed=0)
+
+    def _pinn(self, laplace_problem, **cfg):
+        from dataclasses import replace
+
+        return LaplacePINN(
+            laplace_problem, state_hidden=(8, 8), control_hidden=(6,),
+            config=replace(self.CFG, **cfg),
+        )
+
+    @pytest.mark.parametrize("compile", [False, True])
+    def test_aux_trackers_bitwise_equal_recomputed(self, laplace_problem, compile):
+        from repro.autodiff.compile import compiled_value_and_grad_tree
+        from repro.nn.pytree import value_and_grad_tree
+
+        pinn = self._pinn(laplace_problem)
+        make = compiled_value_and_grad_tree if compile else value_and_grad_tree
+        rng = np.random.default_rng(3)
+        for wrt in (None, ("u",), ("c",)):
+            vg = make(lambda p: pinn.loss_terms(p, 0.3), has_aux=True, wrt=wrt)
+            params = pinn.init_params(1)
+            for _ in range(3):  # trace, then replays on new parameters
+                (val, aux), _ = vg(params)
+                assert val == float(pinn.loss(params, 0.3).data)
+                assert float(aux["cost"]) == float(pinn.cost_objective(params["u"]).data)
+                assert float(aux["residual"]) == float(
+                    pinn.residual_loss(params["u"]).data
+                )
+                params = {
+                    k: [{n: a + 0.05 * rng.standard_normal(a.shape) for n, a in l.items()}
+                        for l in v]
+                    for k, v in params.items()
+                }
+
+    def test_histories_eager_equal_replay(self, laplace_problem):
+        eager = self._pinn(laplace_problem).train_pair(0.1)
+        replay = self._pinn(laplace_problem, compile=True).train_pair(0.1)
+        assert replay.loss_history == eager.loss_history
+        assert replay.cost_history == eager.cost_history
+        assert replay.residual_history == eager.residual_history
+        p0 = self._pinn(laplace_problem).init_params()
+        assert eager.cost_history[0] == float(
+            self._pinn(laplace_problem).cost_objective(p0["u"]).data
+        )
+
+    def test_alternating_epoch_differentiates_active_network_only(
+        self, laplace_problem, monkeypatch
+    ):
+        """The frozen network still takes an Adam step on zero gradients."""
+        from repro.control import pinn as pinn_mod
+
+        seen = []
+        step = pinn_mod.Adam.step
+
+        def spy(self, params, grads, state, lr=None):
+            seen.append({k: [np.abs(a).sum() for l in v for a in l.values()]
+                         for k, v in grads.items()})
+            return step(self, params, grads, state, lr=lr)
+
+        monkeypatch.setattr(pinn_mod.Adam, "step", spy)
+        self._pinn(laplace_problem).train_pair(0.1)
+        for epoch, g in enumerate(seen):
+            frozen = "c" if epoch % 2 == 0 else "u"
+            assert not any(g[frozen]), epoch
+            assert any(g["u" if frozen == "c" else "c"]), epoch
+
+
+class TestTier0HistoriesGolden:
+    """Step-1 loss/cost/residual histories at the tier-0 network and
+    training configuration, against values recorded with the op-by-op
+    network evaluation (one tape node per primitive, trackers recomputed
+    after every epoch, backward through both networks).  The fused
+    network node changes gradients in the last bits only."""
+
+    @staticmethod
+    def _golden():
+        import json
+        import os
+
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(here, "goldens", "pinn_histories_tier0.json")) as f:
+            return json.load(f)
+
+    @staticmethod
+    def _assert_close(run, ref):
+        for name, got in (("loss", run.loss_history), ("cost", run.cost_history),
+                          ("residual", run.residual_history)):
+            want = np.asarray(ref[name])
+            rel = np.max(np.abs(np.asarray(got) - want) / np.abs(want))
+            assert len(got) == ref["epochs"] and rel <= 1e-12, (name, rel)
+
+    @pytest.mark.parametrize("compile", [False, True])
+    def test_laplace(self, laplace_problem, compile):
+        from repro.bench.configs import DEFAULT_SCALE
+
+        s, ref = DEFAULT_SCALE.pinn, self._golden()["laplace"]
+        pinn = LaplacePINN(
+            laplace_problem, state_hidden=s.laplace_hidden,
+            config=PINNTrainConfig(
+                epochs=ref["epochs"], lr=s.laplace_lr, n_interior=s.n_interior,
+                n_boundary=s.n_boundary, seed=0, compile=compile,
+            ),
+        )
+        self._assert_close(pinn.train_pair(ref["omega"]), ref)
+
+    @pytest.mark.parametrize("compile", [False, True])
+    def test_navier_stokes(self, channel_problem, compile):
+        from repro.bench.configs import DEFAULT_SCALE
+
+        s, ref = DEFAULT_SCALE.pinn, self._golden()["navier_stokes"]
+        pinn = NavierStokesPINN(
+            channel_problem,
+            ns_config=NSConfig(reynolds=100.0, refinements=6, pseudo_dt=0.5),
+            state_hidden=s.ns_hidden,
+            config=PINNTrainConfig(
+                epochs=ref["epochs"], lr=s.ns_lr, n_interior=s.n_interior,
+                n_boundary=s.n_boundary, seed=0, compile=compile,
+            ),
+        )
+        self._assert_close(pinn.train_pair(ref["omega"]), ref)

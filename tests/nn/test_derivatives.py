@@ -196,3 +196,131 @@ class TestEnsembleDerivatives:
                 np.testing.assert_allclose(
                     np.asarray(gs)[j], np.asarray(g1), rtol=0, atol=1e-12
                 )
+
+
+def _op_by_op(model, params, X, order):
+    """The derivative propagation written with one tape primitive per
+    operation — the reference the fused node must reproduce."""
+    act = model.activation
+    batch, d = X.shape
+    seed = np.zeros((d, batch, d))
+    for i in range(d):
+        seed[i, :, i] = 1.0
+    a, da, d2a = X, seed, np.zeros((d, batch, d))
+    last = model.n_layers - 1
+    for li, layer in enumerate(params):
+        W, b = layer["W"], layer["b"]
+        z = ops.matmul(a, W) + b
+        dz = ops.matmul(da, W)
+        d2z = ops.matmul(d2a, W)
+        if li < last:
+            s1 = act.df(z)
+            d2a = act.d2f(z) * ops.square(dz) + s1 * d2z
+            da = s1 * dz
+            a = act.f(z)
+        else:
+            a, da, d2a = z, dz, d2z
+    outs = [a] + [da[i] for i in range(d)][: d if order else 0]
+    return outs + ([d2a[i] for i in range(d)] if order == 2 else [])
+
+
+def _fused(model, params, X, order):
+    if order == 0:
+        return [model.apply(params, X)]
+    u, du, d2u = mlp_with_derivatives(model, params, X, need_second=order == 2)
+    return [u] + du + d2u
+
+
+def _residual(outs):
+    return sum(ops.mean(ops.square(o * (k + 1.0))) for k, o in enumerate(outs))
+
+
+ACTS = ["tanh", "sigmoid", "sin"]
+
+
+class TestFusedPrimitive:
+    """``mlp_eval``: one tape node per network evaluation whose forward is
+    bitwise the op-by-op propagation and whose hand-written reverse sweep
+    is the exact weight gradient."""
+
+    @pytest.mark.parametrize("act", ACTS)
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_forward_bitwise_matches_op_by_op(self, act, order):
+        m = MLP(2, (9, 7), 2, activation=act)
+        p = m.init_params(2)
+        X = RNG.uniform(-1, 1, (11, 2))
+        for a, b in zip(_fused(m, p, X, order), _op_by_op(m, p, X, order)):
+            assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("act", ACTS)
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_check_gradient(self, act, order):
+        from repro.autodiff.check import check_gradient
+
+        m = MLP(2, (6, 5), 2, activation=act)
+        p = m.init_params(4)
+        X = RNG.uniform(-1, 1, (8, 2))
+        leaves, td = tree_flatten(p)
+        # Nonzero biases, so every branch of the sweep carries signal.
+        leaves = [l + 0.1 * RNG.standard_normal(l.shape) for l in leaves]
+        sizes = [l.size for l in leaves]
+
+        def unflat(theta):
+            parts = np.split(np.asarray(theta), np.cumsum(sizes)[:-1])
+            return tree_unflatten(td, [q.reshape(l.shape) for q, l in zip(parts, leaves)])
+
+        def loss(params):
+            return _residual(_fused(m, params, X, order))
+
+        theta = np.concatenate([l.ravel() for l in leaves])
+        _, g = value_and_grad_tree(loss)(unflat(theta))
+        analytic = np.concatenate([q.ravel() for q in tree_flatten(g)[0]])
+        check_gradient(
+            lambda t: float(loss(unflat(t)).data), analytic, theta,
+            eps=1e-6, rtol=1e-6, atol=1e-9,
+        )
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_gradient_matches_op_by_op(self, order):
+        m = MLP(2, (8, 8), 3)
+        p = m.init_params(6)
+        X = RNG.uniform(-1, 1, (10, 2))
+        _, gf = value_and_grad_tree(lambda q: _residual(_fused(m, q, X, order)))(p)
+        _, gr = value_and_grad_tree(lambda q: _residual(_op_by_op(m, q, X, order)))(p)
+        for a, b in zip(tree_flatten(gf)[0], tree_flatten(gr)[0]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    def test_one_node_and_one_sweep_per_evaluation(self):
+        from repro.autodiff.tensor import Tensor, _topological_order
+
+        m = MLP(2, (8, 8), 1)
+        p = m.init_params(0)
+        X = RNG.uniform(-1, 1, (5, 2))
+        leaves, td = tree_flatten(p)
+        lts = [Tensor(l, requires_grad=True) for l in leaves]
+        u, du, d2u = mlp_with_derivatives(m, tree_unflatten(td, lts), X)
+        nodes = [n for n in _topological_order(d2u[0]) if n._parents]
+        assert [n._op for n in nodes] == ["getitem", "mlp"]
+        assert [q for q, _ in nodes[1]._parents] == lts
+
+    def test_input_gradient(self):
+        from repro.autodiff.functional import value_and_grad
+
+        m = MLP(2, (6,), 1, activation="sin")
+        p = m.init_params(1)
+        X = RNG.uniform(-1, 1, (4, 2))
+
+        def f(x):
+            u, du, d2u = mlp_with_derivatives(m, p, x)
+            return ops.sum_(ops.square(u)) + ops.sum_(du[0] * d2u[1])
+
+        _, g = value_and_grad(f)(X)
+        from repro.autodiff.check import numerical_gradient
+
+        fd = numerical_gradient(lambda x: float(f(x).data), X.copy())
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
+
+    def test_frozen_parameters_record_no_node(self):
+        m = MLP(2, (4,), 1)
+        out = m.apply(m.init_params(0), RNG.uniform(-1, 1, (3, 2)))
+        assert out._parents == [] and out._op == "leaf"
