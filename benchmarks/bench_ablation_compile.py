@@ -7,9 +7,10 @@ tracing once and then re-running a linearised program over preallocated
 buffers — no Tensor wrappers, no closure construction, no per-node dict
 bookkeeping.  This ablation sweeps the Laplace DP problem over N and
 times a single oracle evaluation (``value_and_grad``, i.e. one forward
-solve + one adjoint sweep — the unit of work per optimiser iteration) in
-both modes, then verifies the two modes drive the optimiser to the same
-final cost.
+solve + one adjoint sweep — the unit of work per optimiser iteration)
+through the DP oracle, which replays, and through the eager tape on the
+same cost, then verifies the two drive the optimiser to the same final
+cost.
 
 Beyond N ≈ 400 the O(n²) back-substitutions of the cached-LU solver
 dominate and the two modes converge — the replay engine removes Python
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff.compile import compiled_value_and_grad
+from repro.bench.compile_smoke import EagerOracle
 from repro.bench.tables import render_table
 from repro.cloud.square import SquareCloud
 from repro.control.dp import LaplaceDP
@@ -37,7 +39,8 @@ TIMING_ROUNDS = 7
 
 def _per_iter_time(oracle, c0: np.ndarray) -> float:
     """Best-of-rounds mean oracle-call time (one DP iteration's work)."""
-    oracle.value_and_grad(c0)  # warm up: trace/compile, page in buffers
+    for _ in range(2):  # warm up: first call, trace, page in buffers
+        oracle.value_and_grad(c0)
     best = float("inf")
     for _ in range(TIMING_ROUNDS):
         t0 = time.perf_counter()
@@ -55,8 +58,8 @@ def compile_sweep():
         problem = LaplaceControlProblem(SquareCloud(nx))
         c0 = rng.normal(scale=0.1, size=problem.n_control)
 
-        eager = LaplaceDP(problem)
-        compiled = LaplaceDP(problem, compile=True)
+        eager = EagerOracle(LaplaceDP(problem))
+        compiled = LaplaceDP(problem)
 
         t_eager = _per_iter_time(eager, c0)
         t_comp = _per_iter_time(compiled, c0)
@@ -126,7 +129,7 @@ def test_final_cost_identical(compile_sweep, benchmark):
 def test_profile_report(save_artifact, benchmark):
     """Op-level replay profile: per-op time and buffer-reuse statistics."""
     problem = LaplaceControlProblem(SquareCloud(SIZES[-1]))
-    oracle = LaplaceDP(problem, compile=True)
+    oracle = LaplaceDP(problem)
     vg = compiled_value_and_grad(oracle._cost_tensor, profile=True)
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -152,5 +155,5 @@ def test_profile_report(save_artifact, benchmark):
     save_artifact("profile_compile_ops.txt", "\n".join(lines))
 
     assert p.n_traces == 1
-    assert p.n_replays == 49
+    assert p.n_replays == 48  # call 1 runs eagerly, call 2 traces
     assert reused > 0, "replay reported no buffer reuse"

@@ -16,11 +16,12 @@ provides:
 - Function transforms in :mod:`repro.autodiff.functional` —
   :func:`grad`, :func:`value_and_grad`, :func:`jacobian` — mirroring the JAX
   API used by the paper.
-- A trace-once compiled replay engine in :mod:`repro.autodiff.compile` —
-  :func:`compiled_value_and_grad` records the tape on the first call and
-  replays forward + backward over reused buffers thereafter, the NumPy
-  analogue of ``jax.jit`` around a loss (used by the DP and PINN hot
-  loops via their ``compile=True`` options).
+- A trace-and-replay engine in :mod:`repro.autodiff.compile` —
+  :func:`compiled_value_and_grad` runs a signature's first call on the
+  eager tape, records the tape on its second and replays forward +
+  backward over reused buffers thereafter, the NumPy analogue of
+  ``jax.jit`` around a loss (the one execution path of the DP and PINN
+  gradient oracles).
 - Numerical gradient checking in :mod:`repro.autodiff.check`.
 
 Gradients are exact (to floating point) wherever defined: the engine applies

@@ -1,16 +1,19 @@
-"""Trace-once compiled replay for the reverse-mode tape.
+"""Trace-and-replay execution for the reverse-mode tape.
 
 The eager engine rebuilds the whole computation graph — Tensor objects,
 VJP closures, fresh ndarray buffers — on *every* call, even though the DP
 and PINN hot loops evaluate the same graph topology hundreds of times
 with only the input values changing.  JAX (the paper's substrate)
 amortises this with trace-once ``jit`` compilation; this module brings the
-same execution model to the NumPy tape:
+same execution model to the NumPy tape, and the gradient oracles of
+:mod:`repro.control` always run through it:
 
-1. **Trace** — the first call runs eagerly, producing an ordinary tape.
-   The graph is linearised into a topologically sorted op list whose VJP
-   wiring (parent slots + closures) is recorded once.
-2. **Replay** — subsequent calls with same-shaped inputs never touch
+1. **First call** — a signature's first call runs the eager tape and
+   keeps nothing, so a one-shot caller pays exactly the eager price.
+2. **Trace** — its second call runs eagerly too, and the tape is
+   linearised into a topologically sorted op list whose VJP wiring
+   (parent slots + closures) is recorded once.
+3. **Replay** — later calls with same-shaped inputs never touch
    ``Tensor`` or closure construction.  New input values are copied into
    the recorded leaf buffers, each op's forward-replay closure recomputes
    its value *in place* into the node's persistent buffer, and the
@@ -20,9 +23,9 @@ same execution model to the NumPy tape:
    and a cotangent half written by the backward sweep — no allocation for
    either across iterations (VJP closures may still create small
    temporaries; the profiler reports both sides).
-3. **Safety** — programs are keyed on the shapes/dtypes of the
+4. **Safety** — programs are keyed on the shapes/dtypes of the
    differentiated inputs (and a content digest of any baked-in constant
-   arguments), so a shape or dtype change triggers a fresh trace rather
+   arguments), so a shape or dtype change starts a fresh signature rather
    than stale-buffer reuse.  Each new program is validated against the
    eager result before it is cached; ops without a replay closure, or a
    validation mismatch, fall back to the eager path permanently for that
@@ -30,11 +33,12 @@ same execution model to the NumPy tape:
 
 The replayed backward visits nodes in exactly the order the eager
 ``Tensor.backward`` would, and the forward closures invoke the same NumPy
-kernels, so compiled results match the eager tape bit-for-bit on the
-problems in this repository (the test suite asserts ``rtol=1e-12``).
+kernels, so replayed results match the eager tape bit-for-bit on the
+problems in this repository (the tests assert it for the DP histories on
+every backend and solver).
 
 Functions whose *structure* depends on input values (data-dependent
-branching on tensor values) must not be compiled — like ``jax.jit``, the
+branching on tensor values) must not be replayed — like ``jax.jit``, the
 trace freezes one execution path.  The control-loop cost functions here
 are all structurally static.
 """
@@ -44,12 +48,12 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.autodiff.functional import Argnums, _normalize_argnums, _wrap_args
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, uncounted
 from repro.autodiff.tensor import (
     Tensor,
     VIEW_FWD,
@@ -63,7 +67,6 @@ __all__ = [
     "CompileError",
     "CompiledProgram",
     "ReplayProfile",
-    "check_compile_flag",
     "compiled_value_and_grad",
     "compiled_value_and_grad_tree",
 ]
@@ -73,28 +76,9 @@ class CompileError(RuntimeError):
     """Raised when a recorded program cannot be replayed safely."""
 
 
-def check_compile_flag(flag: Any) -> bool:
-    """Validate a user-facing ``compile=`` argument.
-
-    ``True`` selects the compiled replay tier and ``False`` the eager
-    tape.  Anything else raises :class:`ValueError`: a truthy string
-    must never quietly select replay.
-    """
-    if isinstance(flag, bool):
-        return flag
-    raise ValueError(
-        f"compile must be True (compiled replay) or False (eager tape), "
-        f"got {flag!r}; the string-selected fused-source tier was removed"
-    )
-
-
 def _bump(counters: Dict[str, int], event: str) -> None:
-    """Advance a wrapper-local counter and its registry twin together.
-
-    The per-wrapper dict stays authoritative for ``cache_info()`` (tests
-    pin it); the ``compile.<event>`` registry counters aggregate across
-    every compiled function in the process for metrics exports.
-    """
+    """Advance a wrapper's ``cache_info()`` counter and its process-wide
+    ``compile.<event>`` registry twin together."""
     counters[event] += 1
     get_registry().counter(f"compile.{event}").inc()
 
@@ -130,17 +114,17 @@ class OpStats:
         self.bytes_moved = 0.0
 
 
-def _estimate_cost(op: str, out: np.ndarray, parents: Sequence[Any]) -> Tuple[float, float]:
+def _estimate_cost(op: str, out: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> Tuple[float, float]:
     """Estimated (FLOPs, bytes moved) for one forward execution of ``op``.
 
-    Shape-derived at trace time, so the replay hot loop only adds two
-    float adds per profiled step.  Conventions: a dense matmul costs
+    Derived from the parent shapes recorded at trace time, once, on the
+    first profiled replay, so the replay hot loop only adds two float
+    adds per profiled step.  Conventions: a dense matmul costs
     ``2·m·k·n``; a triangular-solve pair against an ``n×n`` factorisation
     costs ``2·n²``; everything else is counted as one FLOP per output
     element.  Bytes moved = output bytes + every parent operand's bytes
     (one read of each input, one write of the output).
     """
-    shapes = [np.shape(getattr(p, "data", p)) for p in parents]
     bytes_moved = float(out.nbytes) + 8.0 * sum(
         float(np.prod(s)) if s else 1.0 for s in shapes
     )
@@ -268,14 +252,12 @@ class CompiledProgram:
     ) -> None:
         order = _topological_order(root)  # root first, leaves last
         pos = {id(n): i for i, n in enumerate(order)}
-        self._order = order
-        self._ops: List[str] = [n._op for n in order]
         self._root_data = root.data
 
         self.replayable = True
         self.unreplayable_op: Optional[str] = None
         fwd_steps: List[Tuple[np.ndarray, Callable, str]] = []
-        fwd_costs: List[Tuple[float, float]] = []
+        fwd_shapes: List[List[Tuple[int, ...]]] = []
         for node in reversed(order):  # leaves first = forward schedule
             if not node._parents:
                 continue  # leaves/constants: values arrive via input copy
@@ -287,13 +269,12 @@ class CompiledProgram:
             if f is VIEW_FWD:
                 continue  # aliases a parent buffer; updates for free
             fwd_steps.append((node.data, f, node._op))
-            fwd_costs.append(
-                _estimate_cost(node._op, node.data, [p for p, _ in node._parents])
-            )
+            fwd_shapes.append([p.data.shape for p, _ in node._parents])
         self._fwd_steps = fwd_steps
         # Parallel to ``_fwd_steps`` so the unprofiled replay loop stays a
         # bare 3-tuple unpack; only ``_replay_profiled`` reads these.
-        self._fwd_costs = fwd_costs
+        self._fwd_shapes = fwd_shapes
+        self._fwd_costs: Optional[List[Tuple[float, float]]] = None
 
         # Auxiliary outputs are read straight from their node buffers,
         # which the forward sweep refreshes in place.
@@ -356,7 +337,6 @@ class CompiledProgram:
         self._leaf_pos = [pos.get(id(l), -1) if m else -1 for l, m in zip(leaves, mask)]
         self._leaf_bufs = [l.data for l in leaves]
         self._leaf_shapes = [l.data.shape for l in leaves]
-        self.n_ops = sum(1 for n in order if n._parents)
         self.buffer_bytes = sum(n.data.nbytes for n in order) + sum(
             b.nbytes for b in self._gradbufs if b is not None
         )
@@ -427,6 +407,11 @@ class CompiledProgram:
         reg = get_registry()
         h_flops = reg.histogram("compile.op.flops", FLOP_BUCKETS)
         h_bytes = reg.histogram("compile.op.bytes_moved", BYTE_BUCKETS)
+        if self._fwd_costs is None:
+            self._fwd_costs = [
+                _estimate_cost(name, buf, shapes)
+                for (buf, _, name), shapes in zip(self._fwd_steps, self._fwd_shapes)
+            ]
         perf = time.perf_counter
         t_start = perf()
         for (buf, f, name), (flops, moved) in zip(self._fwd_steps, self._fwd_costs):
@@ -517,59 +502,116 @@ def _diff_key(x: Any) -> Tuple:
 # ----------------------------------------------------------------------
 # Function transforms
 # ----------------------------------------------------------------------
-def _validate(
-    program: CompiledProgram,
-    inputs: Sequence[np.ndarray],
-    value: float,
-    grads: Sequence[np.ndarray],
-    aux: Sequence[np.ndarray] = (),
-) -> bool:
-    """Cross-check one replay against the eager trace results."""
-    try:
-        v2, g2 = program.replay(list(inputs))
-    except Exception:
-        return False
-    if not np.allclose(v2, value, rtol=1e-12, atol=1e-300, equal_nan=True):
-        return False
-    for a, b in zip(list(grads) + list(aux), list(g2) + program.read_aux()):
-        if not np.allclose(a, b, rtol=1e-12, atol=1e-300, equal_nan=True):
-            return False
-    return True
+class _Trace(NamedTuple):
+    """One eager call: its results, the tape behind them (``out`` and the
+    gradient ``leaves``), the backward's leaf mask ``wrt`` (``None``:
+    every leaf), and the auxiliary output values, tensors and pytree def."""
+
+    value: float
+    grads: List[np.ndarray]
+    out: Tensor
+    leaves: List[Tensor]
+    wrt: Optional[List[bool]] = None
+    aux: Sequence[np.ndarray] = ()
+    aux_nodes: Sequence[Any] = ()
+    aux_def: Any = None
 
 
-def _build_entry(
-    out_t: Tensor,
-    leaves: Sequence[Tensor],
-    inputs: Sequence[np.ndarray],
-    value: float,
-    grads: Sequence[np.ndarray],
-    prof: Optional[ReplayProfile],
-    wrt: Optional[Sequence[bool]] = None,
-    aux: Sequence[Any] = (),
-) -> Optional[CompiledProgram]:
-    """Build the cache entry for a fresh trace.
+def _build_entry(trace: _Trace, prof: Optional[ReplayProfile]) -> Optional[CompiledProgram]:
+    """Record ``trace`` as a program and validate one replay against it.
 
-    The program is validated against the eager results before it is
-    cached; an unreplayable op or a validation failure caches ``None``,
-    which keeps this signature on the eager tape permanently.  ``aux``
-    holds the trace's auxiliary output tensors (see
-    :class:`CompiledProgram`).
+    The validation replay runs on the trace's inputs under
+    :func:`~repro.obs.metrics.uncounted`, so work counters (solves,
+    factorisations) describe the gradients callers received, however
+    each was computed.  An unreplayable op or a mismatch caches ``None``:
+    the signature stays on the eager tape for good.
     """
-    prog = CompiledProgram(out_t, leaves, wrt=wrt, aux=aux)
+    prog = CompiledProgram(trace.out, trace.leaves, wrt=trace.wrt, aux=trace.aux_nodes)
     if not prog.replayable:
         return None
-    aux_values = [np.array(asdata(t)) for t in aux]
-    if not _validate(prog, inputs, value, grads, aux_values):
+    try:
+        with uncounted():
+            v2, g2 = prog.replay([l.data.copy() for l in trace.leaves])
+        ok = all(
+            np.allclose(a, b, rtol=1e-12, atol=1e-300, equal_nan=True)
+            for a, b in zip(
+                [trace.value, *trace.grads, *trace.aux], [v2, *g2, *prog.read_aux()]
+            )
+        )
+    except Exception:
+        ok = False
+    if not ok:
         warnings.warn(
             "compiled replay failed validation; falling back to "
             "the eager tape for this signature",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return None
+    prog.aux_def = trace.aux_def
     if prof is not None:
         prof.persistent_bytes += prog.buffer_bytes
     return prog
+
+
+_MISSING = object()
+_SEEN = object()  # a signature whose first call has run: its next one traces
+
+
+class _ReplayCache:
+    """The program cache, counters and profile of one replay wrapper.
+
+    Per signature (cache key) the **first** call runs the eager tape and
+    keeps nothing, so a one-shot caller pays exactly the eager price; the
+    second runs eagerly too, then records the tape as a
+    :class:`CompiledProgram` and validates it (**traces**); later calls
+    **replay** it.  A signature whose program cannot be built or fails
+    validation runs **eager** for good.
+    """
+
+    def __init__(self, profile: bool) -> None:
+        self.programs: Dict[Any, Any] = {}
+        self.profile = ReplayProfile() if profile else None
+        self.counters = {"first": 0, "traces": 0, "replays": 0, "eager": 0}
+
+    def call(self, key: Any, inputs: Callable[[], list], eager: Callable[[], _Trace]):
+        """``(value, grads, aux values, aux def)`` of one call."""
+        prof = self.profile
+        entry = self.programs.get(key, _MISSING)
+        if isinstance(entry, CompiledProgram):
+            _bump(self.counters, "replays")
+            value, grads = entry.replay(inputs(), prof)
+            return value, grads, entry.read_aux(), entry.aux_def
+        if entry is _MISSING:
+            _bump(self.counters, "first")
+            self.programs[key] = _SEEN
+            trace = eager()
+        elif entry is _SEEN:
+            _bump(self.counters, "traces")
+            t0 = time.perf_counter()
+            trace = eager()
+            self.programs[key] = _build_entry(trace, prof)
+            if prof is not None:
+                prof.n_traces += 1
+                prof.trace_seconds += time.perf_counter() - t0
+        else:
+            _bump(self.counters, "eager")
+            if prof is not None:
+                prof.n_eager_calls += 1
+            trace = eager()
+        return trace.value, trace.grads, trace.aux, trace.aux_def
+
+    def attach(self, wrapped: Callable) -> Callable:
+        """Expose ``.profile``, ``.cache_info()`` and ``._cache`` on ``wrapped``."""
+        c = self.counters
+        wrapped.profile = self.profile
+        wrapped.cache_info = lambda: {
+            **c,
+            "programs": sum(isinstance(v, CompiledProgram) for v in self.programs.values()),
+            "hit_rate": c["replays"] / max(sum(c.values()), 1),
+        }
+        wrapped._cache = self.programs
+        return wrapped
 
 
 def compiled_value_and_grad(
@@ -577,91 +619,53 @@ def compiled_value_and_grad(
     argnums: Argnums = 0,
     profile: bool = False,
 ) -> Callable[..., Tuple[float, Any]]:
-    """Trace-once counterpart of :func:`repro.autodiff.functional.value_and_grad`.
+    """Trace-and-replay counterpart of :func:`repro.autodiff.functional.value_and_grad`.
 
-    Returns ``g(*args) -> (f(*args), df/dargs)`` with identical semantics;
-    the first call per input-shape signature traces eagerly and records a
-    replay program, later calls replay it over reused buffers.  Functions
-    containing ops without replay support, or failing the post-trace
-    validation, silently run eagerly (correctness first).
+    Returns ``g(*args) -> (f(*args), df/dargs)`` with identical semantics.
+    Calls are keyed on the differentiated inputs' shapes and dtypes and a
+    content digest of the other arguments; each signature runs eagerly on
+    its first call, traces on its second and replays from its third (see
+    :class:`_ReplayCache`).
 
     The returned callable exposes ``.profile`` (a :class:`ReplayProfile`
     when ``profile=True``, else ``None``) and ``.cache_info()``.
     """
     nums = _normalize_argnums(argnums)
-    cache: Dict[Any, Optional[CompiledProgram]] = {}
-    prof = ReplayProfile() if profile else None
-    counters = {"traces": 0, "replays": 0, "eager": 0}
+    single = isinstance(argnums, int)
+    core = _ReplayCache(profile)
 
-    def _eager(args, kwargs) -> Tuple[float, Tuple[np.ndarray, ...], Tensor, list]:
+    def eager(args, kwargs) -> _Trace:
         call_args, leaves = _wrap_args(args, nums)
-        out = f(*call_args, **kwargs)
-        out_t = tensor(out)
+        out_t = tensor(f(*call_args, **kwargs))
         if out_t.size != 1:
             raise ValueError(
                 f"compiled_value_and_grad requires a scalar output, got shape {out_t.shape}"
             )
         out_t.backward()
-        grads = tuple(
+        grads = [
             leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
             for leaf in leaves
-        )
-        return float(out_t.data), grads, out_t, leaves
-
-    # The DP hot loop calls ``wrapped(control)`` — one positional diff arg,
-    # no kwargs.  Precompute the dispatch shape so the per-call key is two
-    # attribute reads and a dict hit.
-    single_diff = isinstance(argnums, int) and nums == (argnums,)
+        ]
+        return _Trace(float(out_t.data), grads, out_t, leaves)
 
     def wrapped(*args: Any, **kwargs: Any) -> Tuple[float, Any]:
-        if single_diff and len(args) == 1 and not kwargs:
+        if single and len(args) == 1 and not kwargs:
+            # The DP hot loop: one positional differentiated array.
             arr = asdata(args[0])
-            key = ((arr.shape, arr.dtype),)
-            program = cache.get(key, _MISSING)
-            if isinstance(program, CompiledProgram):
-                _bump(counters, "replays")
-                value, grad_list = program.replay(
-                    (np.asarray(arr, dtype=np.float64),), prof
-                )
-                return value, grad_list[0]
+            key: Any = ((arr.shape, arr.dtype),)
         else:
             key = tuple(
                 _diff_key(a) if i in nums else _const_key(a)
                 for i, a in enumerate(args)
             ) + tuple((k, _const_key(v)) for k, v in sorted(kwargs.items()))
-            program = cache.get(key, _MISSING)
-        if isinstance(program, CompiledProgram):
-            inputs = [np.asarray(asdata(args[i]), dtype=np.float64) for i in nums]
-            value, grad_list = program.replay(inputs, prof)
-            _bump(counters, "replays")
-            grads = tuple(grad_list)
-            return (value, grads[0]) if isinstance(argnums, int) else (value, grads)
+        value, grads, _, _ = core.call(
+            key,
+            lambda: [np.asarray(asdata(args[i]), dtype=np.float64) for i in nums],
+            lambda: eager(args, kwargs),
+        )
+        return (value, grads[0]) if single else (value, tuple(grads))
 
-        t0 = time.perf_counter()
-        value, grads, out_t, leaves = _eager(args, kwargs)
-        if program is _MISSING:  # first sighting of this signature
-            _bump(counters, "traces")
-            cache[key] = _build_entry(
-                out_t, leaves, [l.data.copy() for l in leaves], value, grads, prof
-            )
-            if prof is not None:
-                prof.n_traces += 1
-                prof.trace_seconds += time.perf_counter() - t0
-        else:
-            _bump(counters, "eager")
-            if prof is not None:
-                prof.n_eager_calls += 1
-        return (value, grads[0]) if isinstance(argnums, int) else (value, grads)
-
-    wrapped.profile = prof
-    wrapped.cache_info = lambda: {
-        **counters,
-        "programs": sum(1 for v in cache.values() if v is not None),
-        "hit_rate": counters["replays"]
-        / max(counters["replays"] + counters["traces"] + counters["eager"], 1),
-    }
-    wrapped._cache = cache
-    return wrapped
+    return core.attach(wrapped)
 
 
 def compiled_value_and_grad_tree(
@@ -670,7 +674,7 @@ def compiled_value_and_grad_tree(
     has_aux: bool = False,
     wrt: Optional[Sequence[str]] = None,
 ) -> Callable[..., Tuple[Any, Any]]:
-    """Trace-once counterpart of :func:`repro.nn.pytree.value_and_grad_tree`.
+    """Trace-and-replay counterpart of :func:`repro.nn.pytree.value_and_grad_tree`.
 
     ``f(params, *rest)`` takes a parameter pytree; the wrapper differentiates
     every leaf, or with ``wrt`` only the leaves under those top-level keys
@@ -687,12 +691,9 @@ def compiled_value_and_grad_tree(
     """
     from repro.nn.pytree import split_aux, tree_flatten, tree_unflatten, wrt_mask
 
-    cache: Dict[Any, Optional[CompiledProgram]] = {}
-    prof = ReplayProfile() if profile else None
-    counters = {"traces": 0, "replays": 0, "eager": 0}
+    core = _ReplayCache(profile)
 
-    def _eager(params, args, kwargs):
-        leaves, treedef = tree_flatten(params)
+    def eager(params, leaves, treedef, args, kwargs) -> _Trace:
         mask = wrt_mask(params, wrt)
         leaf_tensors = [Tensor(asdata(x), requires_grad=True) for x in leaves]
         out, aux = split_aux(f(tree_unflatten(treedef, leaf_tensors), *args, **kwargs), has_aux)
@@ -705,13 +706,14 @@ def compiled_value_and_grad_tree(
             t.grad if t.grad is not None else np.zeros_like(t.data)
             for t in leaf_tensors
         ]
-        aux_leaves, aux_def = tree_flatten(aux)
-        return float(out_t.data), grads, out_t, leaf_tensors, mask, aux_leaves, aux_def
-
-    def _result(value, aux_values, aux_def, treedef, grads):
-        if has_aux:
-            value = (value, tree_unflatten(aux_def, aux_values))
-        return value, tree_unflatten(treedef, grads)
+        aux_nodes, aux_def = tree_flatten(aux) if has_aux else ([], None)
+        return _Trace(
+            float(out_t.data), grads, out_t, leaf_tensors,
+            wrt=None if wrt is None else mask,
+            aux=[np.array(asdata(a)) for a in aux_nodes],
+            aux_nodes=aux_nodes,
+            aux_def=aux_def,
+        )
 
     def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[Any, Any]:
         leaves, treedef = tree_flatten(params)
@@ -721,51 +723,13 @@ def compiled_value_and_grad_tree(
             tuple(_const_key(a) for a in args),
             tuple((k, _const_key(v)) for k, v in sorted(kwargs.items())),
         )
-
-        program = cache.get(key, _MISSING)
-        if isinstance(program, CompiledProgram):
-            inputs = [np.asarray(asdata(l), dtype=np.float64) for l in leaves]
-            value, grad_list = program.replay(inputs, prof)
-            _bump(counters, "replays")
-            return _result(value, program.read_aux(), program.aux_def, treedef, grad_list)
-
-        t0 = time.perf_counter()
-        value, grads, out_t, leaf_tensors, mask, aux_leaves, aux_def = _eager(
-            params, args, kwargs
+        value, grads, aux, aux_def = core.call(
+            key,
+            lambda: [np.asarray(asdata(l), dtype=np.float64) for l in leaves],
+            lambda: eager(params, leaves, treedef, args, kwargs),
         )
-        if program is _MISSING:
-            _bump(counters, "traces")
-            program = cache[key] = _build_entry(
-                out_t,
-                leaf_tensors,
-                [t.data.copy() for t in leaf_tensors],
-                value,
-                grads,
-                prof,
-                wrt=None if wrt is None else mask,
-                aux=aux_leaves,
-            )
-            if program is not None:
-                program.aux_def = aux_def
-            if prof is not None:
-                prof.n_traces += 1
-                prof.trace_seconds += time.perf_counter() - t0
-        else:
-            _bump(counters, "eager")
-            if prof is not None:
-                prof.n_eager_calls += 1
-        aux_values = [np.array(asdata(a)) for a in aux_leaves]
-        return _result(value, aux_values, aux_def, treedef, grads)
+        if has_aux:
+            value = (value, tree_unflatten(aux_def, aux))
+        return value, tree_unflatten(treedef, grads)
 
-    wrapped.profile = prof
-    wrapped.cache_info = lambda: {
-        **counters,
-        "programs": sum(1 for v in cache.values() if v is not None),
-        "hit_rate": counters["replays"]
-        / max(counters["replays"] + counters["traces"] + counters["eager"], 1),
-    }
-    wrapped._cache = cache
-    return wrapped
-
-
-_MISSING = object()
+    return core.attach(wrapped)

@@ -49,7 +49,7 @@ import scipy.sparse.linalg as spla
 from repro.autodiff.batching import primitive
 from repro.autodiff.tensor import ArrayLike, Tensor, make_node, tensor
 from repro.obs.health import current_watchdog
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import counting, get_registry
 from repro.obs.profile import span as _span
 
 __all__ = [
@@ -565,7 +565,8 @@ class KrylovSolver:
 
     def _solve(self, b: np.ndarray, trans: bool = False) -> np.ndarray:
         """Solve for one vector or a column block, counting one solve."""
-        self.n_solves += 1
+        if counting():
+            self.n_solves += 1
         b = np.asarray(b, dtype=np.float64)
         if b.ndim == 1:
             return self._solve_vec(b, trans)

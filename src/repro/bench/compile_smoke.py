@@ -1,10 +1,12 @@
 """CI smoke benchmark: compiled replay must not regress below eager.
 
-Runs the Laplace DP iteration loop at the smallest benchmarked scale in
-both execution modes and compares best-of-``repeats`` wall times.  Exits
-nonzero when the compiled engine is more than ``--tolerance`` slower
-than eager (default 10 %) or when the final costs disagree — a cheap
-guard that keeps the replay fast path honest on every push.
+Runs the Laplace DP iteration loop at the smallest benchmarked scale
+twice — through the DP oracle, which traces and replays, and through the
+eager tape (:func:`repro.autodiff.functional.value_and_grad` on the same
+cost) — and compares best-of-``repeats`` wall times.  Exits nonzero when
+the oracle is more than ``--tolerance`` slower than eager (default 10 %)
+or when the final costs disagree — a cheap guard that keeps the replay
+fast path honest on every push.
 
 Usage::
 
@@ -19,10 +21,23 @@ import time
 
 import numpy as np
 
+from repro.autodiff.functional import value_and_grad
 from repro.cloud.square import SquareCloud
 from repro.control.dp import LaplaceDP
 from repro.control.loop import optimize
 from repro.pde.laplace import LaplaceControlProblem
+
+
+class EagerOracle:
+    """A DP oracle's (``LaplaceDP``, ``NavierStokesDP``) cost,
+    differentiated on the eager tape every call."""
+
+    def __init__(self, dp) -> None:
+        self._vg = value_and_grad(dp._cost_tensor)
+        self.initial_control = dp.initial_control
+
+    def value_and_grad(self, c: np.ndarray):
+        return self._vg(np.asarray(c, dtype=np.float64))
 
 
 def _best_time(oracle, iters: int, lr: float, repeats: int):
@@ -54,10 +69,10 @@ def main(argv=None) -> int:
 
     problem = LaplaceControlProblem(SquareCloud(args.nx))
     t_eager, (c_e, h_e) = _best_time(
-        LaplaceDP(problem), args.iters, args.lr, args.repeats
+        EagerOracle(LaplaceDP(problem)), args.iters, args.lr, args.repeats
     )
     t_comp, (c_c, h_c) = _best_time(
-        LaplaceDP(problem, compile=True), args.iters, args.lr, args.repeats
+        LaplaceDP(problem), args.iters, args.lr, args.repeats
     )
 
     cost_diff = abs(h_e.best_cost - h_c.best_cost)

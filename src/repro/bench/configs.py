@@ -41,16 +41,6 @@ def is_full_scale() -> bool:
     return env_flag("REPRO_FULL", default=False)
 
 
-def is_compile_enabled() -> bool:
-    """True when ``REPRO_COMPILE`` opts the benchmarks into the compiled
-    replay tier (:mod:`repro.autodiff.compile`).
-
-    Parsed by :func:`repro.utils.env.env_flag` like every other switch;
-    the result feeds the ``compile=`` field of the scale dataclasses.
-    """
-    return env_flag("REPRO_COMPILE", default=False)
-
-
 def artifact_dir(cli_value: "str | None", env_var: str) -> "str | None":
     """Resolve an artifact output directory from CLI flag and environment.
 
@@ -127,7 +117,6 @@ class LaplaceScale:
     backend: str = "dense"       # "dense" (paper) or "local" (RBF-FD)
     solver: str = "direct"       # "direct" (LU) or "iterative" (Krylov,
     # requires the local backend; see repro.autodiff.krylov)
-    compile: bool = False        # trace-once replay for the DP loop
 
 
 @dataclass(frozen=True)
@@ -146,7 +135,6 @@ class NavierStokesScale:
     perturbation: float = 0.3
     backend: str = "dense"       # "dense" (paper) or "local" (RBF-FD)
     solver: str = "direct"       # "direct" (LU) or "iterative" (Krylov)
-    compile: bool = False        # trace-once replay for the DP loop
 
 
 @dataclass(frozen=True)
@@ -165,7 +153,6 @@ class PinnScale:
     # paper: 9 values 1e-3..1e5, ω* = 1
     n_interior: int = 300
     n_boundary: int = 30
-    compile: bool = False            # trace-once replay for the epoch loop
 
 
 @dataclass(frozen=True)
@@ -201,20 +188,5 @@ FULL_SCALE = ExperimentScale(
 
 
 def get_scale() -> ExperimentScale:
-    """Return the active tier (``REPRO_FULL=1`` selects the full tier).
-
-    ``REPRO_COMPILE=1`` additionally switches the DP and PINN strategies
-    onto the trace-once replay engine — results are bit-identical (the
-    property tests assert it), only the per-iteration wall time changes.
-    """
-    from dataclasses import replace
-
-    scale = FULL_SCALE if is_full_scale() else DEFAULT_SCALE
-    if is_compile_enabled():
-        scale = ExperimentScale(
-            name=scale.name + "+compile",
-            laplace=replace(scale.laplace, compile=True),
-            ns=replace(scale.ns, compile=True),
-            pinn=replace(scale.pinn, compile=True),
-        )
-    return scale
+    """Return the active tier (``REPRO_FULL=1`` selects the full tier)."""
+    return FULL_SCALE if is_full_scale() else DEFAULT_SCALE

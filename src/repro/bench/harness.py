@@ -137,7 +137,7 @@ def run_laplace_dp(
     """DP on the Laplace problem."""
     s = scale or get_scale()
     prob = problem or make_laplace_problem(s)
-    oracle = LaplaceDP(prob, compile=s.laplace.compile)
+    oracle = LaplaceDP(prob)
     _tag_trace(recorder, "DP", "laplace", s, prob.backend)
 
     def run():
@@ -219,7 +219,6 @@ def run_laplace_pinn(
         lr=s.pinn.laplace_lr,
         n_interior=s.pinn.n_interior,
         n_boundary=s.pinn.n_boundary,
-        compile=s.pinn.compile,
     )
     pinn = LaplacePINN(prob, state_hidden=s.pinn.laplace_hidden, config=cfg)
     _tag_trace(recorder, "PINN", "laplace", s, prob.backend)
@@ -321,7 +320,7 @@ def run_ns_dp(
     cfg = _ns_config(
         s, refinements if refinements is not None else s.ns.refinements_dp, reynolds
     )
-    oracle = NavierStokesDP(prob, cfg, compile=s.ns.compile)
+    oracle = NavierStokesDP(prob, cfg)
     _tag_trace(recorder, "DP", "navier-stokes", s, prob.backend)
 
     def run():
@@ -366,7 +365,6 @@ def run_ns_pinn(
         lr=s.pinn.ns_lr,
         n_interior=s.pinn.n_interior,
         n_boundary=s.pinn.n_boundary,
-        compile=s.pinn.compile,
     )
     ns_cfg = _ns_config(s, s.ns.refinements_dp)
     pinn = NavierStokesPINN(

@@ -150,10 +150,10 @@ def main(argv=None) -> int:
     if ctrl_diff > 0.0 or on_ctrl_diff > 0.0:
         print("FAIL: instrumentation perturbs the final control", file=sys.stderr)
         return 1
-    if n_phase_spans != 3 * args.iters:
+    if n_phase_spans != 1 + 3 * args.iters:
         print(
-            f"FAIL: profiler saw {n_phase_spans} phase spans, "
-            f"expected {3 * args.iters} (grad + eval + update per iteration)",
+            f"FAIL: profiler saw {n_phase_spans} phase spans, expected "
+            f"{1 + 3 * args.iters} (setup, then grad + eval + update per iteration)",
             file=sys.stderr,
         )
         return 1

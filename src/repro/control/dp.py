@@ -18,8 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.compile import check_compile_flag, compiled_value_and_grad
-from repro.autodiff.functional import value_and_grad
+from repro.autodiff.compile import compiled_value_and_grad
 from repro.autodiff.sparse import make_linear_solver
 from repro.obs.hooks import record_compile_cache, record_solver_cache
 from repro.pde.laplace import LaplaceControlProblem
@@ -56,19 +55,17 @@ class LaplaceDP:
     ``smoothness_weight`` adds the §4 control-variation penalty to the
     objective (off by default, as in the paper).
 
-    ``compile=True`` routes ``value_and_grad`` through the trace-once
-    replay engine (:mod:`repro.autodiff.compile`): the cost graph is
-    recorded on the first call and subsequent iterations replay it over
-    reused buffers, skipping all Tensor/closure construction — the NumPy
-    analogue of wrapping the JAX loss in ``jit``.  ``compile`` must be a
-    ``bool``; anything else raises ``ValueError``.
+    ``value_and_grad`` runs through the trace-and-replay engine
+    (:mod:`repro.autodiff.compile`): the first call runs the eager tape,
+    the second records the cost graph, and later iterations replay it
+    over reused buffers, skipping all Tensor/closure construction — the
+    NumPy analogue of wrapping the JAX loss in ``jit``.
     """
 
     def __init__(
         self,
         problem: LaplaceControlProblem,
         smoothness_weight: float = 0.0,
-        compile: bool = False,
     ) -> None:
         self.problem = problem
         self.solver = make_linear_solver(
@@ -77,12 +74,7 @@ class LaplaceDP:
             **(getattr(problem, "solver_opts", None) or {}),
         )
         self.smoothness_weight = float(smoothness_weight)
-        self.compile = check_compile_flag(compile)
-        self._vg = (
-            compiled_value_and_grad(self._cost_tensor)
-            if self.compile
-            else value_and_grad(self._cost_tensor)
-        )
+        self._vg = compiled_value_and_grad(self._cost_tensor)
 
     def _cost_tensor(self, c):
         p = self.problem
@@ -111,10 +103,14 @@ class LaplaceDP:
         return self.solver.solve_numpy(self.problem.rhs(np.asarray(c)))
 
     def report_telemetry(self, recorder) -> None:
-        """End-of-run cumulative telemetry: LU and replay cache stats."""
+        """End-of-run cumulative telemetry: LU and replay cache stats.
+
+        The replay stats go to the metrics registry only, so a trace's
+        cache records are the solver caches alone, as the golden traces
+        pin them.
+        """
         record_solver_cache(recorder, self.solver, "lu-cache")
-        if self.compile:
-            record_compile_cache(recorder, self._vg)
+        record_compile_cache(None, self._vg)
 
 
 class NavierStokesDP:
@@ -129,17 +125,11 @@ class NavierStokesDP:
         problem: ChannelFlowProblem,
         config: Optional[NSConfig] = None,
         smoothness_weight: float = 0.0,
-        compile: bool = False,
     ) -> None:
         self.problem = problem
         self.config = config or NSConfig(refinements=10)
         self.smoothness_weight = float(smoothness_weight)
-        self.compile = check_compile_flag(compile)
-        self._vg = (
-            compiled_value_and_grad(self._cost_tensor)
-            if self.compile
-            else value_and_grad(self._cost_tensor)
-        )
+        self._vg = compiled_value_and_grad(self._cost_tensor)
 
     def _cost_tensor(self, c):
         u, v, _ = self.problem.solve_ad(c, self.config)
@@ -170,9 +160,9 @@ class NavierStokesDP:
         return self.problem.default_control()
 
     def report_telemetry(self, recorder) -> None:
-        """End-of-run cumulative telemetry: pressure-LU and replay stats."""
+        """End-of-run cumulative telemetry: pressure-LU and replay stats
+        (the latter to the registry only, as in :class:`LaplaceDP`)."""
         record_solver_cache(
             recorder, self.problem.pressure_solver, "pressure-lu-cache"
         )
-        if self.compile:
-            record_compile_cache(recorder, self._vg)
+        record_compile_cache(None, self._vg)

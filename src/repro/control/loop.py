@@ -70,6 +70,10 @@ def optimize(
         each iteration emits one record with the cost, gradient norm,
         step size and grad/update phase seconds.
 
+    Under a profiler the loop's wall time is partitioned into ``phase``
+    spans: ``setup`` before the loop, then per iteration ``grad``,
+    ``eval``, ``update`` and, with a recorder, ``telemetry``.
+
     Returns
     -------
     (best_control, history)
@@ -78,16 +82,17 @@ def optimize(
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
-    c = np.array(oracle.initial_control() if c0 is None else c0, dtype=np.float64)
-    schedule = paper_schedule(initial_lr)
-    opt = Adam(lr=initial_lr)
-    state = opt.init(c)
-    history = OptimizationHistory()
-    best_c, best_j = c.copy(), np.inf
-    trace = recorder if recorder else None
-    # One hoisted global read; the disabled path costs one ``is not
-    # None`` test per iteration (same class as the trace guards).
-    wd = current_watchdog()
+    with _span("setup", "phase"):
+        c = np.array(oracle.initial_control() if c0 is None else c0, dtype=np.float64)
+        schedule = paper_schedule(initial_lr)
+        opt = Adam(lr=initial_lr)
+        state = opt.init(c)
+        history = OptimizationHistory()
+        best_c, best_j = c.copy(), np.inf
+        trace = recorder if recorder else None
+        # One hoisted global read; the disabled path costs one ``is not
+        # None`` test per iteration (same class as the trace guards).
+        wd = current_watchdog()
 
     with Timer() as timer:
         for it in range(n_iterations):
@@ -124,18 +129,20 @@ def optimize(
                 # Divergence (the DAL-on-NS failure mode): stop updating
                 # but keep the record — the benchmark reports it.
                 if trace is not None:
-                    trace.iteration(
-                        it, history.costs[-1], history.grad_norms[-1], lr,
-                        phases={"grad": t_grad, "update": 0.0},
-                    )
+                    with _span("telemetry", "phase"):
+                        trace.iteration(
+                            it, history.costs[-1], history.grad_norms[-1], lr,
+                            phases={"grad": t_grad, "update": 0.0},
+                        )
                 break
             with _span("update", "phase"):
                 c, state = opt.step(c, g, state, lr=lr)
             if trace is not None:
-                trace.iteration(
-                    it, history.costs[-1], history.grad_norms[-1], lr,
-                    phases={"grad": t_grad, "update": timer.lap("update")},
-                )
+                with _span("telemetry", "phase"):
+                    trace.iteration(
+                        it, history.costs[-1], history.grad_norms[-1], lr,
+                        phases={"grad": t_grad, "update": timer.lap("update")},
+                    )
     history.wall_time_s = timer.elapsed
     if trace is not None:
         trace.set_meta(

@@ -37,12 +37,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.compile import check_compile_flag, compiled_value_and_grad_tree
+# The trainer's pytree gradient transform traces and replays; it keeps
+# the eager transform's name, the module attribute perfbench/tracer.py
+# wraps to time each gradient.
+from repro.autodiff.compile import compiled_value_and_grad_tree as value_and_grad_tree
 from repro.cloud.halton import halton_sequence
 from repro.nn.derivatives import mlp_with_derivatives
 from repro.nn.mlp import MLP
 from repro.nn.optimizers import Adam
-from repro.nn.pytree import value_and_grad_tree
 from repro.nn.schedules import paper_schedule
 from repro.obs.health import current_watchdog
 from repro.obs.hooks import record_compile_cache
@@ -64,11 +66,7 @@ class PINNTrainConfig:
 
     ``epochs`` follows the paper's piecewise-constant LR schedule; the
     alternating flag switches between joint and alternating updates of the
-    two networks.  ``compile`` routes the loss through the trace-once
-    replay engine (:mod:`repro.autodiff.compile`): the loss graph is
-    recorded at the first epoch and each subsequent epoch replays it over
-    reused buffers — the epoch loop skips all Tensor/closure rebuilds.
-    ``compile`` must be a ``bool``; anything else raises ``ValueError``.
+    two networks.
     """
 
     epochs: int = 2000
@@ -77,10 +75,6 @@ class PINNTrainConfig:
     n_interior: int = 400
     n_boundary: int = 40
     alternating: bool = True
-    compile: bool = False
-
-    def __post_init__(self) -> None:
-        check_compile_flag(self.compile)
 
 
 @dataclass
@@ -126,6 +120,11 @@ def _train(
 ) -> Tuple[Dict[str, Any], List[float], Dict[str, List[float]]]:
     """Generic Adam training loop over a dict-of-pytrees parameter set.
 
+    The loss gradient runs through the trace-and-replay engine
+    (:mod:`repro.autodiff.compile`): each gradient wrapper runs its first
+    epoch on the eager tape, records the loss graph on its second and
+    replays it over reused buffers from then on.
+
     When ``alternating_keys`` is given, epoch ``t`` only updates key
     ``alternating_keys[t % len]`` (the Mowlavi & Nabi alternating
     scheme): the gradient is taken with respect to that key alone, the
@@ -139,66 +138,58 @@ def _train(
     receives one iteration record per epoch — loss as the cost, the
     global norm of the *applied* gradient (after alternating masking),
     the scheduled step size, and grad/update phase seconds.  Falsy
-    recorders cost one truth test per epoch.
+    recorders cost one truth test per epoch.  Under a profiler the
+    ``phase`` spans ``setup``, ``grad``, ``update`` and ``telemetry``
+    (the history trackers, the watchdog and the recorder) partition the
+    loop's wall time.
     """
-    make_vg = compiled_value_and_grad_tree if config.compile else value_and_grad_tree
-    if alternating_keys:
-        vgs = [make_vg(loss_fn, has_aux=has_aux, wrt=(k,)) for k in alternating_keys]
-    else:
-        vgs = [make_vg(loss_fn, has_aux=has_aux)]
-    opt = Adam(lr=config.lr)
-    state = opt.init(params)
-    schedule = paper_schedule(config.lr)
-    history: List[float] = []
-    tracked: Dict[str, List[float]] = {}
-    trace = recorder if recorder else None
-    wd = current_watchdog()
+    with _span("setup", "phase"):
+        wrts = [(k,) for k in alternating_keys] if alternating_keys else [None]
+        vgs = [value_and_grad_tree(loss_fn, has_aux=has_aux, wrt=w) for w in wrts]
+        opt = Adam(lr=config.lr)
+        state = opt.init(params)
+        schedule = paper_schedule(config.lr)
+        history: List[float] = []
+        tracked: Dict[str, List[float]] = {}
+        trace = recorder if recorder else None
+        wd = current_watchdog()
     with Timer() as timer:
         for epoch in range(config.epochs):
             if trace is not None:
                 timer.mark()
             with _span("grad", "phase"):
                 val, grads = vgs[epoch % len(vgs)](params)
-            if has_aux:
-                val, aux = val
-                for name, v in aux.items():
-                    tracked.setdefault(name, []).append(float(v))
             if trace is not None:
                 t_grad = timer.lap("grad")
-            history.append(val)
-            lr = schedule(epoch, config.epochs)
             with _span("update", "phase"):
+                lr = schedule(epoch, config.epochs)
                 params, state = opt.step(params, grads, state, lr=lr)
-            if wd is not None or trace is not None:
-                gnorm = _tree_grad_norm(grads)
-            if wd is not None:
-                for ev in wd.observe_iteration(epoch, float(val), gnorm):
-                    if trace is not None:
-                        trace.health_event(
-                            ev.check, ev.severity, ev.iteration,
-                            ev.value, ev.message,
-                        )
             if trace is not None:
-                trace.iteration(
-                    epoch, float(val), gnorm, lr,
-                    phases={"grad": t_grad, "update": timer.lap("update")},
-                )
+                t_update = timer.lap("update")
+            with _span("telemetry", "phase"):
+                if has_aux:
+                    val, aux = val
+                    for name, v in aux.items():
+                        tracked.setdefault(name, []).append(float(v))
+                history.append(val)
+                if wd is not None or trace is not None:
+                    gnorm = _tree_grad_norm(grads)
+                if wd is not None:
+                    for ev in wd.observe_iteration(epoch, float(val), gnorm):
+                        if trace is not None:
+                            trace.health_event(
+                                ev.check, ev.severity, ev.iteration,
+                                ev.value, ev.message,
+                            )
+                if trace is not None:
+                    trace.iteration(
+                        epoch, float(val), gnorm, lr,
+                        phases={"grad": t_grad, "update": t_update},
+                    )
     if trace is not None:
         trace.set_meta(epochs_run=config.epochs, train_wall_time_s=timer.elapsed)
-        if config.compile:
-            record_compile_cache(trace, _CacheSum(vgs))
+        record_compile_cache(trace, *vgs)
     return params, history, tracked
-
-
-class _CacheSum:
-    """The summed ``cache_info()`` of several compiled wrappers."""
-
-    def __init__(self, vgs) -> None:
-        self._vgs = vgs
-
-    def cache_info(self) -> Dict[str, float]:
-        infos = [vg.cache_info() for vg in self._vgs]
-        return {k: sum(i[k] for i in infos) for k in ("traces", "replays", "eager")}
 
 
 def _train_batched(
@@ -226,9 +217,9 @@ def _train_batched(
     ``loss_fn`` (stacked along axis 0, not differentiated): the per-ω
     weight vector in step 1, the frozen per-ω control parameters in
     step 2.  With ``has_aux`` the loss also returns ``{name: (n,)}``
-    tracker values.  ``config.compile`` is ignored here — the batched
-    trace is re-recorded each epoch (one stacked program is already far
-    fewer Python dispatches than N eager tapes).
+    tracker values.  The batched tape is re-recorded each epoch, not
+    replayed (one stacked program is already far fewer Python dispatches
+    than N eager tapes).
     """
     from repro.autodiff.batching import vbatch
     from repro.autodiff.tensor import Tensor, asdata
@@ -788,8 +779,8 @@ def omega_line_search(
     with ``jobs > 1`` the candidates are split into contiguous chunks,
     one batched program per worker process — two-level (process × batch)
     parallelism.  Batched training emits profiler spans but no per-epoch
-    recorder iterations (the verdict metadata is still recorded); it
-    also bypasses ``config.compile``.  Every path — serial, parallel,
+    recorder iterations (the verdict metadata is still recorded), and it
+    runs on the eager tape.  Every path — serial, parallel,
     batched, and N_ω == 1 degenerate runs of any of them — derives the
     identical per-ω seed from ``(cfg1.seed, ω)``, so results agree
     bitwise across all of them.

@@ -14,7 +14,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.pytree import tree_leaves, tree_map, tree_zip_map
+from repro.nn.pytree import tree_flatten, tree_leaves, tree_map, tree_unflatten, tree_zip_map
 
 
 def global_grad_norm(grads: Any) -> float:
@@ -107,29 +107,34 @@ class Adam:
         state: Tuple[int, Any, Any],
         lr: Optional[float] = None,
     ) -> Tuple[Any, Tuple[int, Any, Any]]:
-        """One Adam update; returns ``(new_params, new_state)``."""
+        """One Adam update; returns ``(new_params, new_state)``.
+
+        One flatten per tree and one pass over the leaves.
+        """
         eta = self.lr if lr is None else float(lr)
         t, m, v = state
         t += 1
-        m = tree_zip_map(
-            lambda mi, g: self.beta1 * mi + (1 - self.beta1) * np.asarray(g),
-            m,
-            grads,
-        )
-        v = tree_zip_map(
-            lambda vi, g: self.beta2 * vi + (1 - self.beta2) * np.asarray(g) ** 2,
-            v,
-            grads,
-        )
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-
-        def update(p: np.ndarray, mi: np.ndarray, vi: np.ndarray) -> np.ndarray:
-            mhat = mi / bc1
-            vhat = vi / bc2
-            return np.asarray(p, dtype=np.float64) - eta * mhat / (
-                np.sqrt(vhat) + self.eps
+        p_leaves, p_def = tree_flatten(params)
+        g_leaves = tree_leaves(grads)
+        m_leaves, m_def = tree_flatten(m)
+        v_leaves, v_def = tree_flatten(v)
+        if not len(g_leaves) == len(m_leaves) == len(v_leaves) == len(p_leaves):
+            raise ValueError("pytrees have mismatched structure")
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        new_p, new_m, new_v = [], [], []
+        for p, g, mi, vi in zip(p_leaves, g_leaves, m_leaves, v_leaves):
+            g = np.asarray(g)
+            mi = b1 * mi + (1 - b1) * g
+            vi = b2 * vi + (1 - b2) * g**2
+            new_p.append(
+                np.asarray(p, dtype=np.float64) - eta * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
             )
-
-        new_params = tree_zip_map(update, params, m, v)
-        return new_params, (t, m, v)
+            new_m.append(mi)
+            new_v.append(vi)
+        return tree_unflatten(p_def, new_p), (
+            t,
+            tree_unflatten(m_def, new_m),
+            tree_unflatten(v_def, new_v),
+        )

@@ -38,7 +38,6 @@ class Tier0Config:
     reynolds: float = 100.0  # navier-stokes only
     perturbation: float = 0.3  # navier-stokes only
     backend: str = "dense"
-    compile: bool = False  # DP only: trace-once replay
 
 
 TIER0: Dict[str, Tier0Config] = {
@@ -85,7 +84,7 @@ def _build_oracle(cfg: Tier0Config):
 
         problem = LaplaceControlProblem(SquareCloud(cfg.nx), backend=cfg.backend)
         if cfg.method == "dp":
-            return LaplaceDP(problem, compile=cfg.compile)
+            return LaplaceDP(problem)
         if cfg.method == "dal":
             return LaplaceDAL(problem)
     elif cfg.problem == "navier-stokes":
@@ -101,7 +100,7 @@ def _build_oracle(cfg: Tier0Config):
         )
         ns_cfg = NSConfig(reynolds=cfg.reynolds, refinements=cfg.refinements)
         if cfg.method == "dp":
-            return NavierStokesDP(problem, ns_cfg, compile=cfg.compile)
+            return NavierStokesDP(problem, ns_cfg)
         if cfg.method == "dal":
             return NavierStokesDAL(
                 problem,

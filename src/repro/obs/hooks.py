@@ -54,23 +54,21 @@ def record_solver_cache(recorder, solver: Any, name: str = "lu-cache") -> None:
     _publish(recorder, name, hits=max(n_solves - n_fact, 0), misses=n_fact)
 
 
-def record_compile_cache(recorder, vg: Any, name: str = "compiled-replay") -> None:
-    """Report a compiled ``value_and_grad`` wrapper's program-cache stats.
+def record_compile_cache(recorder, *vgs: Any, name: str = "compiled-replay") -> None:
+    """Report the summed program-cache stats of replay ``value_and_grad``
+    wrappers (anything without a ``cache_info()`` is skipped).
 
-    Replays are hits; traces and permanent-eager calls are misses.
+    Replays are hits; first calls, traces and permanent-eager calls are
+    misses.
     """
-    if vg is None:
+    infos = [vg.cache_info() for vg in vgs if callable(getattr(vg, "cache_info", None))]
+    if not infos:
         return
-    cache_info = getattr(vg, "cache_info", None)
-    if not callable(cache_info):
-        return
-    info = cache_info()
-    _publish(
-        recorder,
-        name,
-        hits=int(info.get("replays", 0)),
-        misses=int(info.get("traces", 0)) + int(info.get("eager", 0)),
-    )
+
+    def total(*events: str) -> int:
+        return sum(int(i.get(e, 0)) for i in infos for e in events)
+
+    _publish(recorder, name, hits=total("replays"), misses=total("first", "traces", "eager"))
 
 
 def record_oracle_telemetry(recorder, oracle: Any) -> None:

@@ -37,8 +37,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "TIME_BUCKETS",
+    "counting",
     "get_registry",
     "set_registry",
+    "uncounted",
     "use_registry",
 ]
 
@@ -151,7 +153,12 @@ class MetricsRegistry:
     Instrument updates themselves are plain float adds on the hot path —
     Python's GIL makes them atomic enough for counting, and the smoke
     gates hold the total instrumentation budget to 2 %.
+
+    ``counting`` is False only on the scratch registry of
+    :func:`uncounted`.
     """
+
+    counting = True
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
@@ -362,3 +369,23 @@ def use_registry(registry: Optional[MetricsRegistry] = None) -> _UseRegistry:
     the active one, so a stale restore can never clobber a newer install.
     """
     return _UseRegistry(registry)
+
+
+def counting() -> bool:
+    """False inside :func:`uncounted`: work counters held on objects
+    (a solver's ``n_solves``) must not advance."""
+    return _registry.counting
+
+
+def uncounted() -> _UseRegistry:
+    """``with uncounted():`` — run a block whose work no counter records.
+
+    Installs a scratch registry, so registry counters advanced inside the
+    block are dropped, and :func:`counting` reads False, so the solvers'
+    own counters hold still too.  The replay engine validates a fresh
+    program under it: a run's work counts describe the gradients it
+    returned, whether they were computed eagerly or replayed.
+    """
+    scratch = MetricsRegistry()
+    scratch.counting = False
+    return _UseRegistry(scratch)

@@ -233,18 +233,18 @@ class SpanProfiler:
         stack.pop()
         if self.track_rss:
             top.rss_delta_kb = max(_peak_rss_kb() - top._rss0, 0)
+        # The interval closes *after* the parent-link or root-list append,
+        # so a span absorbs its own bookkeeping (see Span docstring) and
+        # back-to-back spans leave no unattributed gap between them.
         if stack:
-            # The interval closes *after* the parent-link append so the
-            # child absorbs its own bookkeeping (see Span docstring).
             stack[-1].children.append(top)
-            top.t_end = time.perf_counter() - self._epoch
         else:
             thread = threading.current_thread()
             top.thread_id = thread.ident or 0
-            top.t_end = time.perf_counter() - self._epoch
             with self._lock:
                 self._threads.setdefault(top.thread_id, thread.name)
                 self.roots.append(top)
+        top.t_end = time.perf_counter() - self._epoch
         return top
 
     def span(

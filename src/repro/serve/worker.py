@@ -11,10 +11,11 @@ this is the whole point of serving warm instead of forking per request:
   that system — request N pays ``n_factorizations == 1`` and rides the
   multi-solve path;
 - **oracles** keyed by ``(family, method, nx, ny, target-digest)``: the
-  Laplace DP oracle runs the trace-once replay engine, so the compiled
-  program is traced on the first request and *replayed* by every later
-  request with the same shape and target (the compiled tape bakes the
-  target constant in, hence the target digest in the key).
+  DP oracles run the trace-and-replay engine, so a shape and target's
+  first gradient runs eagerly, its second traces a program, and every
+  later gradient, in that request or a later one, *replays* it (the
+  recorded tape bakes the target constant in, hence the target digest
+  in the key).
 
 The worker speaks a tiny framed protocol over a ``multiprocessing``
 pipe: one job dict in, exactly one reply dict out.  Replies are always
@@ -132,7 +133,7 @@ class WorkerState:
             info = vg.cache_info() if hasattr(vg, "cache_info") else None
             if info:
                 replays += int(info.get("replays", 0))
-                traces += int(info.get("traces", 0)) + int(info.get("eager", 0))
+                traces += sum(int(info.get(k, 0)) for k in ("first", "traces", "eager"))
         return {
             "lu-cache": {"hits": lu_hits, "misses": lu_miss},
             "compiled-replay": {"hits": replays, "misses": traces},
@@ -168,15 +169,16 @@ NS_REFINEMENTS = 10
 def build_oracle(family: str, method: str, problem):
     """The ``control.*`` oracle a served request runs through.
 
-    Laplace DP runs with ``compile=True`` (trace-once replay): the first
-    request traces, every subsequent same-shape request replays the
-    compiled program — the cross-request program-cache contract.
+    The DP oracles trace and replay (:mod:`repro.autodiff.compile`): an
+    oracle's first gradient runs eagerly, its second traces, and every
+    later gradient of any request that reuses the oracle replays the
+    recorded program — the cross-request program-cache contract.
     """
     if family == "laplace":
         if method == "dp":
             from repro.control.dp import LaplaceDP
 
-            return LaplaceDP(problem, compile=True)
+            return LaplaceDP(problem)
         if method == "dal":
             from repro.control.dal import LaplaceDAL
 

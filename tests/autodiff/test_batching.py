@@ -167,12 +167,11 @@ def test_compiled_matches_eager(batch_case):
 
     ev, eg = value_and_grad(loss, argnums=diff_idx)(*args)
     cvg = compiled_value_and_grad(loss, argnums=diff_idx)
-    v1, g1 = cvg(*args)  # trace call
-    v2, g2 = cvg(*args)  # replay call
+    calls = [cvg(*args) for _ in range(3)]  # first call, trace, replay
     def grads_tuple(g):
         return g if isinstance(g, (tuple, list)) else (g,)
 
-    for v, g in ((v1, g1), (v2, g2)):
+    for v, g in calls:
         assert float(v) == float(ev), case.label
         for a, b in zip(grads_tuple(g), grads_tuple(eg)):
             _assert_close(

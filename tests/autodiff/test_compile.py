@@ -1,9 +1,11 @@
-"""Tests for the trace-once replay engine (:mod:`repro.autodiff.compile`).
+"""Tests for the trace-and-replay engine (:mod:`repro.autodiff.compile`).
 
 The contract under test: for any supported graph, a compiled replay must
 reproduce the eager tape's value AND gradients to bit-identical (or at
 worst 1e-12 relative) precision across arbitrarily many input changes —
-and must fall back to a fresh trace whenever the input signature changes.
+and must start a fresh signature whenever the input signature changes.
+A signature's first call runs eagerly, its second traces and later ones
+replay.
 """
 
 import zlib
@@ -65,7 +67,7 @@ def test_composite_graph_matches_eager():
         np.testing.assert_allclose(vc, ve, rtol=1e-12)
         np.testing.assert_allclose(gc, ge, rtol=1e-12)
     info = comp.cache_info()
-    assert info["traces"] == 1 and info["replays"] == 9
+    assert info["first"] == info["traces"] == 1 and info["replays"] == 8
 
 
 def test_composite_graph_bit_identical():
@@ -114,12 +116,12 @@ def test_mlp_forward_matches_eager():
 @pytest.mark.parametrize("backend", ["dense", "local"])
 def test_laplace_dp_cost_matches_eager(backend):
     prob = LaplaceControlProblem(SquareCloud(8), backend=backend)
-    eager = LaplaceDP(prob)
-    comp = LaplaceDP(prob, compile=True)
+    comp = LaplaceDP(prob)
+    eager = value_and_grad(comp._cost_tensor)
     rng = np.random.default_rng(6)
     for _ in range(5):
         c = rng.normal(scale=0.2, size=prob.n_control)
-        ve, ge = eager.value_and_grad(c)
+        ve, ge = eager(c)
         vc, gc = comp.value_and_grad(c)
         assert vc == ve
         assert np.array_equal(gc, ge)
@@ -262,7 +264,7 @@ def test_replay_program_bitwise_matches_eager(name):
     loss, args, argnums = REPLAY_PROGRAMS[name]()
     eager = value_and_grad(loss, argnums=argnums)
     comp = compiled_value_and_grad(loss, argnums=argnums)
-    for k in range(3):  # one trace, then two replays on new values
+    for k in range(4):  # first call, trace, then two replays on new values
         call_args = [a * (1.0 + 0.1 * k) for a in args]
         ve, ge = eager(*call_args)
         vc, gc = comp(*call_args)
@@ -297,7 +299,7 @@ def test_replay_matches_eager_on_conformance_case(batch_case):
 
     eager = value_and_grad(loss, argnums=diff_idx)
     comp = compiled_value_and_grad(loss, argnums=diff_idx)
-    for k in range(3):  # one trace, then two replays on new values
+    for k in range(4):  # first call, trace, then two replays on new values
         args = [a * (1.0 + 0.1 * k) if i in diff_idx else a for i, a in enumerate(base)]
         ve, ge = eager(*args)
         vc, gc = comp(*args)
@@ -350,7 +352,7 @@ def test_tree_replay_with_aux_and_wrt_bitwise_matches_eager(wrt):
     comp = compiled_value_and_grad_tree(loss, has_aux=True, wrt=wrt)
     rng = np.random.default_rng(11)
     values = []
-    for k in range(4):
+    for k in range(5):
         (ve, ae), ge = eager(params)
         (vc, ac), gc = comp(params)
         assert vc == ve
@@ -382,7 +384,7 @@ def test_wrt_gradient_equals_full_backward_slice():
     for key in ("u", "c"):
         for make in (value_and_grad_tree, compiled_value_and_grad_tree):
             vg = make(loss, wrt=(key,))
-            for _ in range(2):  # trace, then replay
+            for _ in range(3):  # first call, trace, replay
                 _, g = vg(params)
                 for a, b in zip(tree_flatten(g[key])[0], tree_flatten(full[key])[0]):
                     assert np.array_equal(a, b), key
@@ -411,14 +413,14 @@ def test_aux_must_be_a_program_node():
 # ----------------------------------------------------------------------
 def test_shape_change_triggers_retrace():
     comp = compiled_value_and_grad(lambda x: ops.sum_(ops.square(x)))
-    for size in (5, 5, 9, 9, 5):
+    for size in (5, 5, 9, 9, 5, 9):
         x = np.arange(size, dtype=np.float64)
         v, g = comp(x)
         assert v == float(np.sum(x**2))
         assert np.array_equal(g, 2.0 * x)
     info = comp.cache_info()
-    assert info["traces"] == 2  # one per distinct shape
-    assert info["replays"] == 3
+    assert info["first"] == info["traces"] == 2  # one each per distinct shape
+    assert info["replays"] == 2
     assert info["programs"] == 2
 
 
@@ -427,16 +429,19 @@ def test_constant_operand_change_triggers_retrace():
     comp = compiled_value_and_grad(lambda x, w: ops.sum_(ops.mul(x, w)))
     x = np.ones(4)
     w1, w2 = np.full(4, 2.0), np.full(4, 3.0)
-    assert comp(x, w1)[0] == 8.0
-    assert comp(x, w1)[0] == 8.0
-    assert comp(x, w2)[0] == 12.0  # stale replay would still give 8.0
-    assert comp.cache_info()["traces"] == 2
+    for _ in range(3):  # first call, trace, replay
+        assert comp(x, w1)[0] == 8.0
+    for _ in range(3):  # a stale replay of w1's program would give 8.0
+        assert comp(x, w2)[0] == 12.0
+    info = comp.cache_info()
+    assert info["traces"] == info["replays"] == 2
 
 
 def test_replay_rejects_mismatched_shape():
     x = np.ones(6)
     vg = compiled_value_and_grad(lambda t: ops.sum_(ops.square(t)))
-    vg(x)
+    vg(x)  # first call
+    vg(x)  # trace
     (prog,) = [p for p in vg._cache.values() if isinstance(p, CompiledProgram)]
     with pytest.raises(CompileError):
         prog.replay([np.ones(7)])
@@ -454,11 +459,11 @@ def test_profile_counts_and_reuse():
         comp(rng.normal(size=50))
     p = comp.profile
     assert p.n_traces == 1
-    assert p.n_replays == 4
+    assert p.n_replays == 3  # the first call runs eagerly, the second traces
     assert p.n_eager_calls == 0
     assert p.persistent_bytes > 0
     assert p.bytes_reused > 0
-    assert p.op("square").calls == 4
+    assert p.op("square").calls == 3
     report = p.report()
     assert "square" in report and "sum" in report
 

@@ -186,25 +186,23 @@ class TestCompiledReplay:
             return ops.sum_(ops.square(ks(b)))
 
         compiled = compiled_value_and_grad(loss)
-        b1 = rng.standard_normal(M)
-        b2 = rng.standard_normal(M)
+        bs = [rng.standard_normal(M) for _ in range(3)]
 
         # Eager references first: replay reuses the traced input buffer,
         # which aliases the array the trace call was given.
         refs = []
-        for b in (b1, b2):
+        for b in bs:
             bt = tensor(b.copy(), requires_grad=True)
             out = loss(bt)
             out.backward()
             refs.append((float(out.data), bt.grad))
 
-        v1, g1 = compiled(b1)  # trace call
-        v2, g2 = compiled(b2)  # replay call (fwd closure re-solves)
-
-        assert v1 == pytest.approx(refs[0][0], rel=1e-12, abs=0)
-        np.testing.assert_array_equal(g1, refs[0][1])
-        assert v2 == pytest.approx(refs[1][0], rel=1e-12, abs=0)
-        np.testing.assert_array_equal(g2, refs[1][1])
+        # First call, trace call, replay call (fwd closure re-solves).
+        for b, (v_ref, g_ref) in zip(bs, refs):
+            v, g = compiled(b)
+            assert v == pytest.approx(v_ref, rel=1e-12, abs=0)
+            np.testing.assert_array_equal(g, g_ref)
+        assert compiled.cache_info()["replays"] == 1
 
     def test_compiled_pattern_solve_rebuilds_operator(self):
         # Under replay the operator values are *constant* inputs, but the
@@ -224,8 +222,10 @@ class TestCompiledReplay:
 
         compiled = compiled_value_and_grad(loss)
         b1, b2 = rng.standard_normal(8), rng.standard_normal(8)
-        compiled(b1)
-        v, g = compiled(b2)
+        compiled(b1)  # first call
+        compiled(b1)  # trace
+        v, g = compiled(b2)  # replay
+        assert compiled.cache_info()["replays"] == 1
         bt = tensor(b2, requires_grad=True)
         out = loss(bt)
         out.backward()

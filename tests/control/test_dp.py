@@ -7,11 +7,11 @@ from repro.autodiff.check import directional_numerical_derivative
 from repro.autodiff.linalg import LUSolver, solve_row_affine
 from repro.autodiff.sparse import SparseLUSolver
 from repro.autodiff.tensor import _topological_order, tensor
+from repro.bench.compile_smoke import EagerOracle
 from repro.cloud.channel import ChannelCloud
 from repro.cloud.square import SquareCloud
 from repro.control.dp import LaplaceDP, NavierStokesDP
 from repro.control.loop import optimize
-from repro.control.pinn import PINNTrainConfig
 from repro.obs.goldens import TIER0
 from repro.obs.metrics import use_registry
 from repro.pde.laplace import LaplaceControlProblem
@@ -151,25 +151,6 @@ class TestNavierStokesDP:
         )
 
 
-class TestCompileFlag:
-    """``compile=`` takes a bool; tier names raise instead of picking one."""
-
-    @pytest.mark.parametrize("flag", ["codegen", "replay", "1", 1, None])
-    def test_laplace_dp_rejects_non_bool(self, laplace_problem, flag):
-        with pytest.raises(ValueError, match="tier was removed"):
-            LaplaceDP(laplace_problem, compile=flag)
-
-    @pytest.mark.parametrize("flag", ["codegen", "replay"])
-    def test_ns_dp_rejects_non_bool(self, channel_problem, flag):
-        with pytest.raises(ValueError, match=repr(flag)):
-            NavierStokesDP(channel_problem, compile=flag)
-
-    @pytest.mark.parametrize("flag", ["codegen", "replay"])
-    def test_pinn_config_rejects_non_bool(self, flag):
-        with pytest.raises(ValueError, match=repr(flag)):
-            PINNTrainConfig(compile=flag)
-
-
 class TestFactorizationCount:
     """Every factorisation on the tape is counted, one per momentum step.
 
@@ -204,15 +185,35 @@ class TestFactorizationCount:
 
     def test_replay_counts_each_refactorization(self, tier0):
         problem, ns_cfg = tier0
-        oracle = NavierStokesDP(problem, ns_cfg, compile=True)
+        oracle = NavierStokesDP(problem, ns_cfg)
         c = problem.default_control()
+        oracle.value_and_grad(c)  # first call
+        oracle.value_and_grad(c)  # trace
         # A replay refactorises only solves whose matrix is on the tape.
         # The first refinement assembles its matrix from the constant
         # initial state, so its factors are baked into the trace.
         per_replay = ns_cfg.refinements - 1
-        # The first call runs eagerly, then validates one replay.
-        assert self._factorizations(oracle, c) == ns_cfg.refinements + per_replay
         assert self._factorizations(oracle, c) == per_replay
+        assert self._factorizations(oracle, c) == per_replay
+
+    def test_first_call_eager_second_traces_third_replays(self, tier0):
+        problem, ns_cfg = tier0
+        oracle = NavierStokesDP(problem, ns_cfg)
+        c = problem.default_control()
+        k = ns_cfg.refinements
+
+        def step():
+            n = self._factorizations(oracle, c)
+            info = oracle._vg.cache_info()
+            return n, [info[e] for e in ("first", "traces", "replays", "eager", "programs")]
+
+        # Call 1 runs the eager tape and builds no program.
+        assert step() == (k, [1, 0, 0, 0, 0])
+        # Call 2 runs eagerly again and traces; the validation replay
+        # counts no factorisation.
+        assert step() == (k, [1, 1, 0, 0, 1])
+        # Call 3 replays.
+        assert step() == (k - 1, [1, 1, 1, 0, 1])
 
     def test_local_eager_counts_one_sparse_factorization_per_step(self):
         problem, ns_cfg = _tier0_ns(backend="local")
@@ -311,3 +312,37 @@ class TestSmoothnessPenalty:
         j_np = dp.value(c)
         j_ad, _ = dp.value_and_grad(c)
         assert j_np == pytest.approx(j_ad, rel=1e-12)
+
+
+class TestHistoriesBitwiseEqualEager:
+    """The DP oracle's optimisation history (costs, gradient norms, best
+    control) is bitwise the history of the same cost differentiated on the
+    eager tape every iteration, on every backend and solver."""
+
+    CONFIGS = [("dense", "direct"), ("local", "direct"), ("local", "iterative")]
+
+    @staticmethod
+    def _assert_bitwise(make_oracle, iterations, lr):
+        c_e, h_e = optimize(EagerOracle(make_oracle()), iterations, lr)
+        c_r, h_r = optimize(make_oracle(), iterations, lr)
+        assert h_r.costs == h_e.costs
+        assert h_r.grad_norms == h_e.grad_norms
+        assert np.array_equal(c_r, c_e)
+
+    @pytest.mark.parametrize("backend,solver", CONFIGS)
+    def test_laplace(self, backend, solver):
+        cfg = TIER0["laplace_dp_tier0"]
+        self._assert_bitwise(
+            lambda: LaplaceDP(LaplaceControlProblem(
+                SquareCloud(cfg.nx), backend=backend, solver=solver
+            )),
+            cfg.iterations, cfg.lr,
+        )
+
+    @pytest.mark.parametrize("backend,solver", CONFIGS)
+    def test_navier_stokes(self, backend, solver):
+        cfg = TIER0["ns_dp_tier0"]
+        self._assert_bitwise(
+            lambda: NavierStokesDP(*_tier0_ns(backend=backend, solver=solver)),
+            cfg.iterations, cfg.lr,
+        )

@@ -16,9 +16,18 @@ from repro.control.pinn import (
     PINNTrainConfig,
     omega_line_search,
 )
+from repro.nn.pytree import value_and_grad_tree
 from repro.pde.navier_stokes import NSConfig
 
 FAST = PINNTrainConfig(epochs=150, lr=2e-3, n_interior=80, n_boundary=12, seed=0)
+
+
+def _train_on_eager_tape(monkeypatch):
+    """Make the PINN trainer differentiate its loss with
+    :func:`value_and_grad_tree` (the eager tape) every epoch."""
+    from repro.control import pinn as pinn_mod
+
+    monkeypatch.setattr(pinn_mod, "value_and_grad_tree", value_and_grad_tree)
 
 
 @pytest.fixture(scope="module")
@@ -398,7 +407,6 @@ class TestEpochWork:
     @pytest.mark.parametrize("compile", [False, True])
     def test_aux_trackers_bitwise_equal_recomputed(self, laplace_problem, compile):
         from repro.autodiff.compile import compiled_value_and_grad_tree
-        from repro.nn.pytree import value_and_grad_tree
 
         pinn = self._pinn(laplace_problem)
         make = compiled_value_and_grad_tree if compile else value_and_grad_tree
@@ -406,7 +414,7 @@ class TestEpochWork:
         for wrt in (None, ("u",), ("c",)):
             vg = make(lambda p: pinn.loss_terms(p, 0.3), has_aux=True, wrt=wrt)
             params = pinn.init_params(1)
-            for _ in range(3):  # trace, then replays on new parameters
+            for _ in range(4):  # first call, trace, then replays on new parameters
                 (val, aux), _ = vg(params)
                 assert val == float(pinn.loss(params, 0.3).data)
                 assert float(aux["cost"]) == float(pinn.cost_objective(params["u"]).data)
@@ -419,9 +427,10 @@ class TestEpochWork:
                     for k, v in params.items()
                 }
 
-    def test_histories_eager_equal_replay(self, laplace_problem):
+    def test_histories_eager_equal_replay(self, laplace_problem, monkeypatch):
+        replay = self._pinn(laplace_problem).train_pair(0.1)
+        _train_on_eager_tape(monkeypatch)
         eager = self._pinn(laplace_problem).train_pair(0.1)
-        replay = self._pinn(laplace_problem, compile=True).train_pair(0.1)
         assert replay.loss_history == eager.loss_history
         assert replay.cost_history == eager.cost_history
         assert replay.residual_history == eager.residual_history
@@ -457,7 +466,9 @@ class TestTier0HistoriesGolden:
     training configuration, against values recorded with the op-by-op
     network evaluation (one tape node per primitive, trackers recomputed
     after every epoch, backward through both networks).  The fused
-    network node changes gradients in the last bits only."""
+    network node changes gradients in the last bits only.  ``replay``
+    False runs the trainer on the eager tape, True as it ships (each
+    gradient wrapper traces on its second epoch and replays after)."""
 
     @staticmethod
     def _golden():
@@ -476,23 +487,29 @@ class TestTier0HistoriesGolden:
             rel = np.max(np.abs(np.asarray(got) - want) / np.abs(want))
             assert len(got) == ref["epochs"] and rel <= 1e-12, (name, rel)
 
-    @pytest.mark.parametrize("compile", [False, True])
-    def test_laplace(self, laplace_problem, compile):
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_laplace(self, laplace_problem, replay, monkeypatch):
         from repro.bench.configs import DEFAULT_SCALE
+
+        if not replay:
+            _train_on_eager_tape(monkeypatch)
 
         s, ref = DEFAULT_SCALE.pinn, self._golden()["laplace"]
         pinn = LaplacePINN(
             laplace_problem, state_hidden=s.laplace_hidden,
             config=PINNTrainConfig(
                 epochs=ref["epochs"], lr=s.laplace_lr, n_interior=s.n_interior,
-                n_boundary=s.n_boundary, seed=0, compile=compile,
+                n_boundary=s.n_boundary, seed=0,
             ),
         )
         self._assert_close(pinn.train_pair(ref["omega"]), ref)
 
-    @pytest.mark.parametrize("compile", [False, True])
-    def test_navier_stokes(self, channel_problem, compile):
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_navier_stokes(self, channel_problem, replay, monkeypatch):
         from repro.bench.configs import DEFAULT_SCALE
+
+        if not replay:
+            _train_on_eager_tape(monkeypatch)
 
         s, ref = DEFAULT_SCALE.pinn, self._golden()["navier_stokes"]
         pinn = NavierStokesPINN(
@@ -501,7 +518,7 @@ class TestTier0HistoriesGolden:
             state_hidden=s.ns_hidden,
             config=PINNTrainConfig(
                 epochs=ref["epochs"], lr=s.ns_lr, n_interior=s.n_interior,
-                n_boundary=s.n_boundary, seed=0, compile=compile,
+                n_boundary=s.n_boundary, seed=0,
             ),
         )
         self._assert_close(pinn.train_pair(ref["omega"]), ref)

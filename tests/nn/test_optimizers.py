@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.optimizers import SGD, Adam, clip_grad_norm, global_grad_norm
+from repro.nn.pytree import tree_flatten, tree_zip_map
 
 
 def quad_grad(x, target):
@@ -83,6 +84,58 @@ class TestAdam:
         p2, _ = opt.step(params, grads, st)
         assert p2[0]["W"].shape == (2, 2)
         assert np.all(p2[0]["W"] < 1.0)
+
+    @staticmethod
+    def _three_pass_step(opt, params, grads, state, lr):
+        """Adam as three ``tree_zip_map`` passes: the reference formula."""
+        t, m, v = state
+        t += 1
+        m = tree_zip_map(
+            lambda mi, g: opt.beta1 * mi + (1 - opt.beta1) * np.asarray(g), m, grads
+        )
+        v = tree_zip_map(
+            lambda vi, g: opt.beta2 * vi + (1 - opt.beta2) * np.asarray(g) ** 2,
+            v, grads,
+        )
+        bc1 = 1.0 - opt.beta1**t
+        bc2 = 1.0 - opt.beta2**t
+
+        def update(p, mi, vi):
+            mhat = mi / bc1
+            vhat = vi / bc2
+            return np.asarray(p, dtype=np.float64) - lr * mhat / (np.sqrt(vhat) + opt.eps)
+
+        return tree_zip_map(update, params, m, v), (t, m, v)
+
+    def test_one_pass_step_bitwise_equals_three_pass_formula(self):
+        rng = np.random.default_rng(4)
+        # Parameters on the scale of one update, so that a change in the
+        # update's last bits is not rounded away by the subtraction.
+        small = lambda *shape: 1e-3 * rng.standard_normal(shape)
+        params = {
+            "u": [{"W": small(3, 4), "b": small(4)}, {"W": small(4, 1), "b": small(1)}],
+            "c": ({"W": small(1, 2), "b": np.zeros(2)},),
+        }
+        opt = Adam(lr=2e-3)
+        state = ref_state = opt.init(params)
+        ref = params
+        for k in range(5):
+            lr = 2e-3 / (1 + k)
+            grads = tree_zip_map(lambda p: rng.standard_normal(p.shape), params)
+            params, state = opt.step(params, grads, state, lr=lr)
+            ref, ref_state = self._three_pass_step(opt, ref, grads, ref_state, lr)
+            assert state[0] == ref_state[0]
+            for got, want in ((params, ref), (state[1], ref_state[1]), (state[2], ref_state[2])):
+                g_leaves, g_def = tree_flatten(got)
+                w_leaves, w_def = tree_flatten(want)
+                assert g_def == w_def
+                assert all(np.array_equal(a, b) for a, b in zip(g_leaves, w_leaves))
+
+    def test_mismatched_grads_raise(self):
+        opt = Adam()
+        params = [np.ones(2), np.ones(3)]
+        with pytest.raises(ValueError, match="mismatched"):
+            opt.step(params, [np.ones(2)], opt.init(params))
 
     def test_invalid_hyperparams(self):
         with pytest.raises(ValueError):

@@ -191,9 +191,10 @@ class TestCounterMigrationEquivalence:
         with use_registry() as reg:
             vg = compiled_value_and_grad(f)
             x = np.arange(5, dtype=np.float64)
-            for _ in range(3):
+            for _ in range(4):
                 vg(x)
             info = vg.cache_info()
+            assert reg.counter("compile.first").value == info["first"] == 1
             assert reg.counter("compile.traces").value == info["traces"] == 1
             assert reg.counter("compile.replays").value == info["replays"] == 2
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.configs import is_compile_enabled, is_full_scale, watchdog_enabled
+from repro.bench.configs import is_full_scale, watchdog_enabled
 from repro.utils.env import env_flag
 
 TRUTHY_SPELLINGS = ["1", "true", "TRUE", "True", " 1 ", "yes", "YES", "on", "On"]
@@ -72,28 +72,3 @@ class TestFlagWiring:
     def test_watchdog_cli_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WATCHDOG", "no")
         assert watchdog_enabled(cli_value=True)
-
-    @pytest.mark.parametrize("raw", FALSY_SPELLINGS)
-    def test_compile_mode_falsy(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_COMPILE", raw)
-        assert is_compile_enabled() is False
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("1", True), ("true", True), ("", False),
-    ])
-    def test_compile_mode_tristate(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_COMPILE", raw)
-        assert is_compile_enabled() is expected
-
-    def test_compile_mode_typo_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE", "codgen")
-        with pytest.raises(ValueError, match="REPRO_COMPILE"):
-            is_compile_enabled()
-
-    @pytest.mark.parametrize("raw", ["codegen", "CodeGen", "replay", "REPLAY"])
-    def test_compile_mode_tier_names_raise(self, monkeypatch, raw):
-        # Tier names are not booleans: the removed fused-source tier and
-        # the old replay spelling fail loudly instead of picking a tier.
-        monkeypatch.setenv("REPRO_COMPILE", raw)
-        with pytest.raises(ValueError, match="REPRO_COMPILE"):
-            is_compile_enabled()
